@@ -49,10 +49,10 @@ default ``.repro-results/``).  ``suite`` additionally accepts
 running it in full.
 
 The global ``--engine-mode MODE`` option (before the subcommand) pins
-the detailed engine's execution mode — ``reference``, ``fast`` or
-``epoch-parallel`` (the default).  All modes are bit-identical in cycles
-and statistics (docs/microarchitecture.md); the flag only trades
-simulation speed for debuggability.
+the detailed engine's execution mode — ``reference`` or ``episode``
+(the default).  Both modes are bit-identical in cycles and statistics
+(docs/microarchitecture.md); the flag only trades simulation speed for
+debuggability.
 """
 
 from __future__ import annotations
@@ -651,7 +651,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--engine-mode", choices=ENGINE_MODES, metavar="MODE",
         help="detailed-engine execution mode: "
-             f"{'|'.join(ENGINE_MODES)} (default: epoch-parallel; all "
+             f"{'|'.join(ENGINE_MODES)} (default: episode; both "
              "modes are bit-identical, so this only affects speed; "
              "overrides REPRO_ENGINE_MODE)",
     )

@@ -22,13 +22,15 @@ class Fig6Result:
     runs_2006: List[BenchmarkRun]
     runs_2017: List[BenchmarkRun]
 
+    # A subset run (``--only``) may select no benchmark of a suite; its
+    # geomean is then undefined (None) and its block is not rendered.
     @property
-    def geomean_2006_percent(self) -> float:
-        return exp_metrics.geomean_percent(self.runs_2006)
+    def geomean_2006_percent(self) -> Optional[float]:
+        return _geomean_or_none(self.runs_2006)
 
     @property
-    def geomean_2017_percent(self) -> float:
-        return exp_metrics.geomean_percent(self.runs_2017)
+    def geomean_2017_percent(self) -> Optional[float]:
+        return _geomean_or_none(self.runs_2017)
 
     def profitable(self, threshold_percent: float = 1.0) -> List[BenchmarkRun]:
         return exp_metrics.profitable(
@@ -44,6 +46,8 @@ class Fig6Result:
             ("SPEC CPU 2017", self.runs_2017, self.geomean_2017_percent),
             ("SPEC CPU 2006", self.runs_2006, self.geomean_2006_percent),
         ):
+            if geomean is None:
+                continue
             items = [
                 (r.name, r.speedup_percent)
                 for r in sorted(runs, key=lambda x: -x.speedup)
@@ -60,6 +64,10 @@ class Fig6Result:
             f"accelerated >1%: {len(self.profitable())} of {total} benchmarks"
         )
         return "\n\n".join(parts)
+
+
+def _geomean_or_none(runs: List[BenchmarkRun]) -> Optional[float]:
+    return exp_metrics.geomean_percent(runs) if runs else None
 
 
 def _derive(sweep: Sweep) -> Fig6Result:

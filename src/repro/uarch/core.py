@@ -79,36 +79,37 @@ ENGINE_SCHEMA_VERSION = 2
 # ---------------------------------------------------------------------------
 # Engine execution-mode selection.
 #
-# Engine.step() has three bindings of the same timing semantics:
+# The engine has two implementations of the same timing semantics:
 #
-# * ``reference`` — the original per-phase methods, one call per stage per
-#   cycle.  Slowest; the ground truth every other mode is compared to.
-# * ``fast`` — the optimized serial path (compiled fetch closures, cached
-#   slot orders, batched per-cycle stats, idle-cycle skipping).
-# * ``epoch-parallel`` — the fast path plus *episode* execution: runs of
-#   cycles whose threadlet population is stable are simulated by
-#   cross-cycle monolithic loops with epoch-granularity batched hazard
-#   and statistics bookkeeping (see _ep_advance below).
+# * ``reference`` — step(): the original per-phase methods, one call per
+#   stage per cycle.  Slowest; the ground truth the other mode is
+#   compared to, and the path the per-instruction tracer runs on.
+# * ``episode`` — runs of cycles whose threadlet population is stable
+#   (*episodes*) are simulated serially by cross-cycle monolithic loops
+#   with batched hazard and statistics bookkeeping, compiled fetch
+#   closures, cached slot orders and idle-cycle skipping (see
+#   _ep_advance below).  Sampled windows run on it too: an episode also
+#   ends on the cycle its sequential progress reaches ``_stop_at``.
 #
-# All modes must produce bit-identical cycles and statistics — the parity
+# Both modes must produce bit-identical cycles and statistics — the parity
 # suite (tests/test_engine_parity.py) and the bench_compare semantics gate
 # enforce this.  The mode is resolved once per Engine at construction:
-# the REPRO_ENGINE_MODE environment variable picks a mode by name, the
-# legacy REPRO_ENGINE_REFERENCE variable forces the reference path (for
-# debugging and the CI parity job), and set_engine_mode() /
-# set_engine_reference_mode() override both in-process.
+# the REPRO_ENGINE_MODE environment variable picks a mode by name, and
+# set_engine_mode() overrides it in-process.
 # ---------------------------------------------------------------------------
 
-_REFERENCE_ENV = "REPRO_ENGINE_REFERENCE"
 _MODE_ENV = "REPRO_ENGINE_MODE"
-ENGINE_MODES = ("reference", "fast", "epoch-parallel")
+ENGINE_MODES = ("reference", "episode")
 _mode_override: Optional[str] = None
+
+# Default ``Engine._stop_at``: a sequential-progress target no run reaches.
+_NO_STOP = 1 << 62
 
 
 def set_engine_mode(mode: Optional[str]) -> None:
     """Force an engine mode by name, or clear the override (``None``).
 
-    Overrides both environment variables for engines constructed
+    Overrides the environment variable for engines constructed
     afterwards; existing engines keep their binding.
     """
     global _mode_override
@@ -121,10 +122,10 @@ def set_engine_mode(mode: Optional[str]) -> None:
 
 
 def engine_mode() -> str:
-    """The mode new engines will bind: reference|fast|epoch-parallel.
+    """The mode new engines will bind: reference|episode.
 
-    ``epoch-parallel`` is the default: it is bit-identical to the other
-    two (gated by the parity matrix) and the fastest.
+    ``episode`` is the default: it is bit-identical to the reference
+    (gated by the parity matrix) and faster.
     """
     if _mode_override is not None:
         return _mode_override
@@ -136,24 +137,7 @@ def engine_mode() -> str:
                 f"(choose from {', '.join(ENGINE_MODES)})"
             )
         return env
-    if os.environ.get(_REFERENCE_ENV, "") not in ("", "0"):
-        return "reference"
-    return "epoch-parallel"
-
-
-def set_engine_reference_mode(enabled: Optional[bool]) -> None:
-    """Legacy toggle: force the reference path (True), force the fast
-    path (False), or clear the override (None).  Kept because the
-    reference/fast split predates named modes; new code should call
-    :func:`set_engine_mode`."""
-    set_engine_mode(
-        None if enabled is None else ("reference" if enabled else "fast")
-    )
-
-
-def engine_reference_mode() -> bool:
-    """True when new engines should use the unoptimized reference path."""
-    return engine_mode() == "reference"
+    return "episode"
 
 
 # Shared default for PipelineInstr.mem_dep_writers: it is only ever
@@ -354,8 +338,9 @@ class Engine:
         # disabled) leaves timing and statistics bit-identical.
         self._tracer = current_tracer()
 
-        # Fast-path state (harmless but unused on the reference path).
-        self._progress = 0               # per-advance activity counter
+        # Episode-mode state (harmless but unused on the reference path).
+        self._progress = 0               # per-cycle activity counter
+        self._stop_at = _NO_STOP         # run_window progress target
         self._exec_out = [0, False]      # handler scratch: [mem_addr, taken]
         self._pcs_active = -1            # batched per-cycle stats: run key
         self._pcs_region: Optional[str] = None
@@ -364,44 +349,27 @@ class Engine:
         self._older_cache: List[List[int]] = [[] for _ in range(n_slots)]
         self._younger_cache: List[List[int]] = [[] for _ in range(n_slots)]
 
-        # Epoch-parallel episode accounting (engine attributes, NOT
-        # SimStats: statistics must stay bit-identical across modes, so
-        # mode-specific bookkeeping lives outside the parity surface).
+        # Episode accounting (engine attributes, NOT SimStats: statistics
+        # must stay bit-identical across modes, so mode-specific
+        # bookkeeping lives outside the parity surface).
         self.ep_episodes_single = 0   # single-threadlet episodes run
         self.ep_episodes_multi = 0    # multi-threadlet episodes run
         self.ep_cycles_single = 0     # cycles simulated inside them
         self.ep_cycles_multi = 0
 
         # Path selection (see set_engine_mode above).  Instance
-        # attributes shadow the class methods, so binding the _fast_*
-        # variants here swaps the whole step() pipeline without any
-        # per-cycle mode tests; the reference engine binds nothing and
-        # runs the original methods.  Epoch-parallel engines bind the
-        # same per-cycle fast pipeline (episodes bail out to it around
-        # irregular events) plus the episode-based _advance;
-        # run_window() always observes progress mid-run, so it falls
-        # back to the serial fast advance (see _window_advance).
+        # attributes shadow the class methods, so the episode engine
+        # swaps in the episode _advance and the cached slot orders
+        # without any per-cycle mode tests; the reference engine binds
+        # nothing and runs step().  Both modes drive run() and
+        # run_window() through _advance.
         mode = engine_mode()
         self.engine_mode = mode
-        self.reference_mode = mode == "reference"
-        if self.reference_mode:
-            self._advance = self._reference_advance
-            self._window_advance = self._reference_advance
-        else:
+        if mode == "episode":
             self._fast_prog = fast_program(program)
-            self._advance = self._fast_advance
-            self._window_advance = self._fast_advance
-            self.step = self._fast_step
-            self._process_completions = self._fast_process_completions
-            self._commit = self._fast_commit
-            self._issue = self._fast_issue
-            self._dispatch = self._fast_dispatch
-            self._fetch = self._fast_fetch
-            self._per_cycle_stats = self._fast_per_cycle_stats
+            self._advance = self._ep_advance
             self._older_slots = self._cached_older_slots
             self._younger_slots = self._cached_younger_slots
-            if mode == "epoch-parallel":
-                self._advance = self._ep_advance
         self._order_changed()
 
     def use_reference_path(self) -> None:
@@ -409,22 +377,15 @@ class Engine:
 
         Instrumentation that wraps the per-stage helpers (e.g.
         :class:`~repro.uarch.trace.Tracer` hooking ``_fetch_one`` /
-        ``_dispatch_one``) needs the reference path, because the fast
-        path inlines those helpers into monolithic loops.  Removing the
-        instance-attribute shadows restores the class methods; both
-        paths are bit-identical, so results do not change.
+        ``_dispatch_one``) needs the reference path, because the episode
+        loops inline those helpers.  Removing the instance-attribute
+        shadows restores the class methods; both paths are
+        bit-identical, so results do not change.
         """
-        if self.reference_mode:
+        if self.engine_mode == "reference":
             return
-        self.reference_mode = True
         self.engine_mode = "reference"
-        self._advance = self._reference_advance
-        self._window_advance = self._reference_advance
-        for name in (
-            "step", "_process_completions", "_commit", "_issue",
-            "_dispatch", "_fetch", "_per_cycle_stats",
-            "_older_slots", "_younger_slots",
-        ):
+        for name in ("_advance", "_older_slots", "_younger_slots"):
             self.__dict__.pop(name, None)
 
     def _warm_caches(self) -> None:
@@ -469,7 +430,7 @@ class Engine:
                 self._run_loop(max_cycles)
                 span.attrs["cycles"] = self.cycle
                 span.attrs["arch_instructions"] = self.stats.arch_instructions
-                if self.engine_mode == "epoch-parallel":
+                if self.engine_mode == "episode":
                     # Episode attribution: how the run decomposed into
                     # cross-cycle monolith executions (engine counters,
                     # deliberately outside SimStats — see __init__).
@@ -535,20 +496,22 @@ class Engine:
         to the *actual* warm-boundary overshoot (a merge during warmup
         can jump far past the nominal cut), so the measured portion is
         always ~``n_instructions`` long rather than silently empty.
+        Targets count from the engine's construction, so a window runs
+        on a fresh engine.
         """
+        if n_instructions < 1:
+            raise ValueError("a window measures at least one instruction")
         stats = self.stats
-        target_warm = warmup_instructions
         target_total = warmup_instructions + n_instructions
         warm_cycle = 0
         warm_instructions = 0
         warm_pending = warmup_instructions > 0
         progress = 0
-        # Serial advance even under epoch-parallel mode: an episode can
-        # run arbitrarily far past the window target before returning,
-        # while this loop must observe committed progress every advance.
-        # This is the mode's documented fallback-to-serial rule — see
-        # docs/microarchitecture.md.
-        advance = self._window_advance
+        # Every advance returns no later than the cycle on which progress
+        # first reaches _stop_at: the reference advance is one cycle, and
+        # an episode ends there (or earlier, when its population changes).
+        self._stop_at = warmup_instructions if warm_pending else target_total
+        advance = self._advance
         while not self.finished:
             if self.cycle >= max_cycles:
                 raise SimulationError(
@@ -559,13 +522,15 @@ class Engine:
             progress = (
                 stats.arch_instructions + stats.spec_committed_instructions
             )
-            if warm_pending and progress >= target_warm:
+            if warm_pending and progress >= warmup_instructions:
                 warm_cycle = self.cycle
                 warm_instructions = progress
                 warm_pending = False
                 target_total = progress + n_instructions
+                self._stop_at = target_total
             if not warm_pending and progress >= target_total:
                 break
+        self._stop_at = _NO_STOP
         self._flush_cycle_stats()
         stats.cycles = self.cycle
         return WindowResult(
@@ -587,28 +552,22 @@ class Engine:
                 )
             advance(max_cycles)
 
-    def _reference_advance(self, max_cycles: int) -> None:
+    def _advance(self, max_cycles: int) -> None:
+        """Reference advance: one cycle (episode engines rebind this)."""
         self.step()
-
-    def _fast_advance(self, max_cycles: int) -> None:
-        """One step, then skip ahead over provably idle cycles.
-
-        ``_progress`` counts every state-changing pipeline event of the
-        step (fetches, dispatches, issues, completions, retires, order
-        mutations).  When a step makes no progress, nothing in the engine
-        changes cycle-to-cycle except gates that compare against
-        ``self.cycle`` — so the machine stays frozen until the earliest
-        such gate opens, and the cycles in between can be counted without
-        simulating them.  _skip_idle computes that earliest wake event
-        conservatively and bails out (no skip) whenever any gate cannot
-        be bounded.
-        """
-        self._progress = 0
-        self.step()
-        if self._progress == 0 and not self.ready and not self.finished:
-            self._skip_idle(max_cycles)
 
     def _skip_idle(self, max_cycles: int) -> None:
+        """Skip ahead over provably idle cycles after a cycle with no
+        progress (no fetch, dispatch, issue, completion, retire or order
+        mutation).
+
+        Then nothing in the engine changes cycle-to-cycle except gates
+        that compare against ``self.cycle`` — so the machine stays frozen
+        until the earliest such gate opens, and the cycles in between can
+        be counted without simulating them.  This computes that earliest
+        wake event conservatively and bails out (no skip) whenever any
+        gate cannot be bounded.
+        """
         cycle = self.cycle
         wake: Optional[int] = None
         completions = self.completions
@@ -652,11 +611,11 @@ class Engine:
         self.cycle = wake - 1
 
     # ------------------------------------------------------------------
-    # Epoch-parallel engine mode (docs/microarchitecture.md)
+    # Episode engine mode (docs/microarchitecture.md)
     # ------------------------------------------------------------------
 
     def _ep_advance(self, max_cycles: int) -> None:
-        """Epoch-parallel advance: one *episode* per call.
+        """Episode advance: one *episode* per call.
 
         An episode is a maximal run of cycles over which the active
         threadlet population is stable.  Single-threadlet episodes (the
@@ -664,12 +623,15 @@ class Engine:
         cross-cycle specialization of the single-threadlet cycle that
         keeps all hot engine state in locals for the episode's whole
         lifetime; multi-threadlet episodes simulate the concurrent
-        threadlet epochs through the batched fast phases, reconciling
-        them in commit order every cycle.  Both are held bit-identical
-        to the reference engine by the parity suite; an episode ends
-        when the population changes (a detach spawns, an epoch commits
-        or is squashed, the program finishes) or the cycle budget runs
-        out, and the next call re-dispatches on the new population.
+        threadlet epochs with batched phase bodies, reconciling them in
+        commit order every cycle.  Both are held bit-identical to the
+        reference engine by the parity suite; an episode ends when the
+        population changes (a detach spawns, an epoch commits or is
+        squashed, the program finishes), on the cycle whose sequential
+        progress (``arch_instructions + spec_committed_instructions``)
+        first reaches ``_stop_at`` (run_window's targets), or when the
+        cycle budget runs out; the next call re-dispatches on the new
+        population.
         """
         if len(self.order) == 1:
             self._ep_run_single(max_cycles)
@@ -679,22 +641,24 @@ class Engine:
     def _ep_run_multi(self, max_cycles: int) -> None:
         """Run one multi-threadlet episode (concurrent epochs).
 
-        Cycle-for-cycle this is ``_fast_step`` on the multi-threadlet
-        branch plus the idle-skip of ``_fast_advance``, with the phase
-        bodies inlined so the engine-level hoists (heaps, widths,
-        latencies, stats) happen once per *episode* rather than once
-        per phase call per cycle, and the batched issue/dispatch/commit
-        totals flush once per episode.  Unlike the single-threadlet
-        monolith, engine state stays canonical on ``self`` *between
-        phases*: epoch handover, conflict squashes and hint-spawns all
-        run through out-of-line helpers (``_threadlet_commit``,
-        ``_fast_fetch_threadlet``) that read and mutate the engine
-        directly, so occupancy counters are only localized within a
-        phase, exactly like the per-cycle fast phases they mirror.  The
-        episode ends when the population returns to one (handover,
-        squash, program end) or the budget expires.
+        Cycle-for-cycle this is :meth:`step` with several threadlets
+        active, followed by ``_skip_idle`` after a cycle without
+        progress.  The phase bodies are inlined so the engine-level
+        hoists (heaps, widths, latencies, stats) happen once per
+        *episode* rather than once per phase call per cycle, and the
+        batched issue/dispatch totals flush once per episode.  Unlike
+        the single-threadlet monolith, engine state stays canonical on
+        ``self`` *between phases*: epoch handover, conflict squashes and
+        hint-spawns all run through out-of-line helpers
+        (``_threadlet_commit``, ``_fast_fetch_threadlet``) that read and
+        mutate the engine directly, so occupancy counters are only
+        localized within a phase.  The episode ends when the population
+        returns to one (handover, squash, program end), when progress
+        reaches ``_stop_at`` (checked every cycle, after the per-cycle
+        stats and before the idle skip), or when the budget expires.
         """
         stats = self.stats
+        stop_at = self._stop_at
         completions = self.completions
         ready = self.ready
         heappop = heapq.heappop
@@ -750,7 +714,7 @@ class Engine:
                         if consumer.num_pending <= 0 and consumer.dispatched:
                             heappush(ready, (consumer.seq, consumer))
 
-            # --- commit (mirrors _fast_commit) ---
+            # --- commit (mirrors _commit) ---
             budget = commit_width
             finished_now = False
             for t in order:
@@ -830,13 +794,13 @@ class Engine:
                 (t0.fetch_done and t0.faulted is None)
                 or t0.state is halted_state
             ):
-                # No finished check here: like _fast_step, the remaining
+                # No finished check here: like step(), the remaining
                 # phases (and this cycle's stats) still run after a
                 # program-end _finish; the loop exits at the cycle's end.
                 self._threadlet_commit()
                 order = self.order
 
-            # --- issue (mirrors _fast_issue) ---
+            # --- issue (mirrors _issue) ---
             if ready:
                 budget = issue_width
                 ports = ports_template[:]
@@ -875,7 +839,7 @@ class Engine:
                 issued_total += issued
                 progress += issued
 
-            # --- dispatch (mirrors _fast_dispatch) ---
+            # --- dispatch (mirrors _dispatch) ---
             if self.rob_used < rob_size and self.iq_used < iq_size:
                 budget = dispatch_width
                 rob_used = self.rob_used
@@ -995,7 +959,10 @@ class Engine:
                 dispatched_total += dispatched
                 progress += dispatched
 
-            # --- fetch (mirrors _fast_fetch) ---
+            # --- fetch (mirrors _fetch) ---
+            # Pre-gates mirror the loop-entry gates of
+            # _fast_fetch_threadlet in the same order: gated calls have
+            # no state to change.
             budget = fetch_width
             for t in list(order):
                 if budget <= 0:
@@ -1027,7 +994,10 @@ class Engine:
                 self._pcs_region = region
                 self._pcs_count = 1
 
-            if self.finished or active == 1:
+            if self.finished or active == 1 or (
+                stats.arch_instructions + stats.spec_committed_instructions
+                >= stop_at
+            ):
                 break
             if progress == 0 and self._progress == 0 and not ready:
                 skip_idle(max_cycles)
@@ -1041,10 +1011,11 @@ class Engine:
     def _ep_run_single(self, max_cycles: int) -> None:
         """Run one single-threadlet episode (cross-cycle monolith).
 
-        Mirrors ``_fast_step_single`` gate-for-gate, but the per-cycle
-        prologue/epilogue (attribute hoisting, occupancy-counter loads
-        and stores, batched-stat writebacks) runs once per *episode*
-        instead of once per cycle: the cycle counter, sequence number,
+        Mirrors :meth:`step` with one active threadlet gate-for-gate,
+        with the idle skip inlined; the per-cycle prologue/epilogue
+        (attribute hoisting, occupancy-counter loads and stores,
+        batched-stat writebacks) runs once per *episode* instead of once
+        per cycle: the cycle counter, sequence number,
         occupancy counters, per-cycle-stat run-length state and the
         batched fetch/dispatch/issue totals all live in locals across
         cycles.  This is sound because a lone threadlet's episode
@@ -1059,13 +1030,18 @@ class Engine:
         most-recently-used line in its set (no other fetch touches the
         L1I — prefetchers fill L1D/L2 only), so the skipped re-stamp
         cannot change any replacement decision; data traffic never
-        touches L1I state, so no invalidation is needed.
+        touches L1I state, so no invalidation is needed.  Sequential
+        progress only moves when the lone (architectural) threadlet
+        commits, so the ``_stop_at`` test runs on those cycles only; the
+        episode still ends after that cycle's per-cycle stats.
         """
         # --- episode prologue: engine-level hoists -----------------------
         order = self.order
         t = order[0]
         core = self.core
         stats = self.stats
+        stop_at = self._stop_at
+        stopping = False
         completions = self.completions
         ready = self.ready
         heappop = heapq.heappop
@@ -1197,6 +1173,10 @@ class Engine:
                     region = t.stat_region
                     if region is not None:
                         stats.region(region).arch_instructions += arch_count
+                    stopping = (
+                        stats.arch_instructions
+                        + stats.spec_committed_instructions >= stop_at
+                    )
                 if spec_count:
                     t.committed_while_spec += spec_count
                 if halted_prog:
@@ -1283,7 +1263,7 @@ class Engine:
                     finishing = True
                 elif t.state is halted_state:
                     # Provably a no-op for a lone threadlet (successor is
-                    # None), but mirror the fast path's call: it reads
+                    # None), but mirror step()'s call: it reads
                     # ``self.cycle`` for the conflict-check gate.
                     self.cycle = cycle
                     self._threadlet_commit()
@@ -1577,7 +1557,7 @@ class Engine:
                 pcs_region = region
                 pcs_count = 1
 
-            if finishing:
+            if finishing or stopping:
                 break
             if active != 1:
                 break  # a detach spawned: the episode is over
@@ -1648,7 +1628,7 @@ class Engine:
         idx = self.order.index(threadlet)
         return [t.slot for t in self.order[idx + 1 :]]
 
-    # Fast-path variants: the per-slot orders are recomputed only when
+    # Episode-mode variants: the per-slot orders are recomputed only when
     # ``order`` mutates (_order_changed below), not on every speculative
     # memory access.  The cached lists are read-only to all consumers
     # (SSB versioned reads, conflict-detector write checks).
@@ -1663,7 +1643,7 @@ class Engine:
         """Rebuild the slot-order caches; called at every ``order``
         mutation site (spawn, squash refresh, threadlet commit, finish).
         Mutating the order is pipeline progress, so this also feeds the
-        fast path's idle detector."""
+        multi-threadlet episode's idle detector."""
         self._progress += 1
         older = self._older_cache
         younger = self._younger_cache
@@ -2446,23 +2426,10 @@ class Engine:
         if region is not None:
             stats.region(region).arch_cycles += 1
 
-    def _fast_per_cycle_stats(self) -> None:
-        # Batched variant: per-cycle histogram/region increments are
-        # run-length encoded on the (active count, region) key and flushed
-        # when the key changes, at _finish, and at run()/run_window() end.
-        order = self.order
-        active = len(order)
-        region = order[0].stat_region
-        if active == self._pcs_active and region == self._pcs_region:
-            self._pcs_count += 1
-            return
-        if self._pcs_count:
-            self._flush_cycle_stats()
-        self._pcs_active = active
-        self._pcs_region = region
-        self._pcs_count = 1
-
     def _flush_cycle_stats(self) -> None:
+        # The episode loops run-length encode the per-cycle increments on
+        # the (active count, region) key; the run is flushed when the key
+        # changes, at _finish, and at run()/run_window() end.
         count = self._pcs_count
         if not count:
             return
@@ -2476,649 +2443,11 @@ class Engine:
         self._pcs_count = 0
 
     # ------------------------------------------------------------------
-    # Fast-path phase variants.  Each mirrors its reference method above
-    # gate-for-gate (the parity suite proves bit-identical cycles and
-    # stats); the differences are pure mechanics — attribute hoisting,
-    # inlined helpers, compiled fetch closures — plus ``_progress``
-    # accounting feeding the idle-cycle skipper in _fast_advance.
+    # Episode fetch: _fetch_threadlet on compiled fetch handlers.  It
+    # mirrors the reference method gate-for-gate (the parity suite proves
+    # bit-identical cycles and stats) and feeds ``_progress``, the
+    # multi-threadlet episode's idle detector.
     # ------------------------------------------------------------------
-
-    def _fast_process_completions(self) -> None:
-        completions = self.completions
-        cycle = self.cycle
-        if not completions or completions[0][0] > cycle:
-            return
-        ready = self.ready
-        heappop = heapq.heappop
-        heappush = heapq.heappush
-        popped = 0
-        while completions and completions[0][0] <= cycle:
-            _, _, pi = heappop(completions)
-            popped += 1
-            if pi.squashed:
-                continue
-            for consumer in pi.consumers:
-                if consumer.squashed or consumer.issued:
-                    continue
-                consumer.num_pending -= 1
-                if consumer.num_pending <= 0 and consumer.dispatched:
-                    heappush(ready, (consumer.seq, consumer))
-        self._progress += popped
-
-    def _fast_commit(self) -> None:
-        budget = self.core.commit_width
-        cycle = self.cycle
-        stats = self.stats
-        committed = 0
-        for t in self.order:
-            inflight = t.inflight
-            if inflight:
-                is_arch = t.is_arch
-                rob_used = self.rob_used
-                lq_used = self.lq_used
-                sq_used = self.sq_used
-                int_used = self.int_regs_used
-                fp_used = self.fp_regs_used
-                arch_count = 0
-                spec_count = 0
-                halted = False
-                while budget > 0 and inflight:
-                    pi = inflight[0]
-                    if not (pi.ready_cycle <= cycle):
-                        break
-                    inflight.popleft()
-                    # Inlined _release_entry(pi, committed=True); pi.issued
-                    # is known True here, so the iq_used branch is dead.
-                    rob_used -= 1
-                    if pi.is_load:
-                        lq_used -= 1
-                    if pi.is_store:
-                        sq_used -= 1
-                    if pi.has_dest:
-                        if pi.dest_is_fp:
-                            fp_used -= 1
-                        else:
-                            int_used -= 1
-                    pi.committed = True
-                    budget -= 1
-                    committed += 1
-                    if is_arch:
-                        arch_count += 1
-                        if pi.is_halt:
-                            halted = True
-                            break
-                    else:
-                        spec_count += 1
-                self.rob_used = rob_used
-                self.lq_used = lq_used
-                self.sq_used = sq_used
-                self.int_regs_used = int_used
-                self.fp_regs_used = fp_used
-                t.epoch_committed += arch_count + spec_count
-                if arch_count:
-                    stats.arch_instructions += arch_count
-                    region = t.stat_region
-                    if region is not None:
-                        stats.region(region).arch_instructions += arch_count
-                if spec_count:
-                    t.committed_while_spec += spec_count
-                if halted:
-                    self._progress += committed
-                    self._finish()
-                    return
-            if t.faulted and t.is_arch and not t.inflight and t.fetch_done:
-                raise ExecutionError(
-                    f"{self.program.name}: architectural fault: {t.faulted}"
-                )
-        self._progress += committed
-
-    def _fast_issue(self) -> None:
-        ready = self.ready
-        if not ready:
-            return
-        budget = self.core.issue_width
-        ports = self._fu_ports_template[:]
-        retry: List[Tuple[int, PipelineInstr]] = []
-        cycle = self.cycle
-        heappop = heapq.heappop
-        heappush = heapq.heappush
-        completions = self.completions
-        latency = self._fu_latency_by_index
-        lf_enabled = self.lf.enabled
-        access_data = self.hierarchy.access_data
-        threadlets = self.threadlets
-        ssb_read_latency = self.lf.ssb_read_latency
-        ssb_write_latency = self.lf.ssb_write_latency
-        issued = 0
-        while budget > 0 and ready:
-            seq, pi = heappop(ready)
-            if pi.squashed or pi.issued:
-                continue
-            ci = pi.op_index
-            if ports[ci] <= 0:
-                retry.append((seq, pi))
-                continue
-            ports[ci] -= 1
-            budget -= 1
-            # Inlined _issue_one.
-            pi.issued = True
-            issued += 1
-            done_at = cycle + latency[ci]
-            if pi.is_load:
-                fill = access_data(pi.mem_addr, cycle, False, pi.pc)
-                if lf_enabled and not threadlets[pi.slot].is_arch:
-                    done_at = max(cycle + ssb_read_latency, fill)
-                else:
-                    done_at = max(done_at, fill)
-            elif pi.is_store:
-                if lf_enabled and not threadlets[pi.slot].is_arch:
-                    done_at = cycle + ssb_write_latency
-                else:
-                    access_data(pi.mem_addr, cycle, True, pi.pc)
-                    done_at = cycle + 1
-            pi.ready_cycle = done_at
-            heappush(completions, (done_at, seq, pi))
-        for item in retry:
-            heappush(ready, item)
-        self.iq_used -= issued
-        self.stats.issued_instructions += issued
-        self._progress += issued
-
-    def _fast_dispatch(self) -> None:
-        core = self.core
-        rob_size = core.rob_size
-        iq_size = core.iq_size
-        if self.rob_used >= rob_size or self.iq_used >= iq_size:
-            # Shared-resource exhaustion stops dispatch before any state
-            # changes (the reference returns on its first queue head).
-            return
-        budget = core.dispatch_width
-        lq_size = core.lq_size
-        sq_size = core.sq_size
-        int_size = core.int_phys_regs
-        fp_size = core.fp_phys_regs
-        rob_used = self.rob_used
-        iq_used = self.iq_used
-        lq_used = self.lq_used
-        sq_used = self.sq_used
-        int_used = self.int_regs_used
-        fp_used = self.fp_regs_used
-        cycle = self.cycle
-        ready = self.ready
-        heappush = heapq.heappush
-        g = self.lf.granule_bytes
-        dispatched = 0
-        for t in self.order:
-            fetch_queue = t.fetch_queue
-            if not fetch_queue:
-                continue
-            rename = t.rename
-            inflight = t.inflight
-            store_writers = t.store_writers
-            while budget > 0 and fetch_queue:
-                pi = fetch_queue[0]
-                # Reference returns (stops dispatch entirely) on shared
-                # rob/iq/phys-reg exhaustion and breaks (next threadlet)
-                # on lq/sq exhaustion; budget=0 emulates the return.
-                if rob_used >= rob_size or iq_used >= iq_size:
-                    budget = 0
-                    break
-                is_load = pi.is_load
-                is_store = pi.is_store
-                if is_load and lq_used >= lq_size:
-                    break
-                if is_store and sq_used >= sq_size:
-                    break
-                instr = pi.instr
-                if pi.has_dest:
-                    if pi.dest_is_fp:
-                        if fp_used >= fp_size:
-                            budget = 0
-                            break
-                        fp_used += 1
-                    else:
-                        if int_used >= int_size:
-                            budget = 0
-                            break
-                        int_used += 1
-                fetch_queue.popleft()
-                # Inlined _dispatch_one.
-                rob_used += 1
-                iq_used += 1
-                if is_load:
-                    lq_used += 1
-                if is_store:
-                    sq_used += 1
-                deps: Optional[List[PipelineInstr]] = None
-                for reg in instr._reads:
-                    producer = rename.get(reg)
-                    if (
-                        producer is not None
-                        and not producer.squashed
-                        and not (producer.ready_cycle <= cycle)
-                    ):
-                        if deps is None:
-                            deps = [producer]
-                        else:
-                            deps.append(producer)
-                if is_load and (store_writers or pi.mem_dep_writers):
-                    seq = pi.seq
-                    mem_addr = pi.mem_addr
-                    for granule in range(
-                        mem_addr // g, (mem_addr + pi.mem_size - 1) // g + 1
-                    ):
-                        writer = store_writers.get(granule)
-                        if (
-                            writer is not None
-                            and writer.seq < seq
-                            and not writer.squashed
-                            and not (writer.ready_cycle <= cycle)
-                        ):
-                            if deps is None:
-                                deps = [writer]
-                            else:
-                                deps.append(writer)
-                    for writer in pi.mem_dep_writers:
-                        if (
-                            writer is not None
-                            and writer.seq < seq
-                            and not writer.squashed
-                            and not (writer.ready_cycle <= cycle)
-                        ):
-                            if deps is None:
-                                deps = [writer]
-                            else:
-                                deps.append(writer)
-                if deps is not None:
-                    if len(deps) == 1:
-                        unique_deps = deps
-                    else:
-                        unique_deps = []
-                        seen: Set[int] = set()
-                        for dep in deps:
-                            if id(dep) not in seen:
-                                seen.add(id(dep))
-                                unique_deps.append(dep)
-                    pi.num_pending = len(unique_deps)
-                    for dep in unique_deps:
-                        dep.consumers.append(pi)
-                for reg in instr._writes:
-                    rename[reg] = pi
-                pi.dispatched = True
-                inflight.append(pi)
-                dispatched += 1
-                if pi.num_pending == 0:
-                    heappush(ready, (pi.seq, pi))
-                budget -= 1
-            if budget <= 0:
-                break
-        self.rob_used = rob_used
-        self.iq_used = iq_used
-        self.lq_used = lq_used
-        self.sq_used = sq_used
-        self.int_regs_used = int_used
-        self.fp_regs_used = fp_used
-        self.stats.dispatched_instructions += dispatched
-        self._progress += dispatched
-
-    def _fast_step(self) -> None:
-        """``step()`` binding for fast engines.
-
-        Dispatches to the monolithic single-threadlet step — the
-        dominant case on both machine configs (the baseline never
-        spawns, and LoopFrog runs spend most cycles outside parallel
-        regions) — or to the generic phase sequence when several
-        threadlets are active.  Phase order and gates are identical
-        either way; the monolith only shares one set of hoisted locals
-        across what would otherwise be seven method calls per cycle.
-        """
-        if len(self.order) == 1:
-            self._fast_step_single()
-            return
-        self.cycle += 1
-        self._fast_process_completions()
-        self._fast_commit()
-        if self.finished:
-            return
-        self._threadlet_commit()
-        self._fast_issue()
-        self._fast_dispatch()
-        self._fast_fetch()
-        self._fast_per_cycle_stats()
-
-    def _fast_step_single(self) -> None:
-        """One cycle with exactly one active threadlet.
-
-        Inlines every step phase for ``order == [t]``: the per-phase
-        ``order`` iterations collapse to direct accesses, and the rare
-        multi-threadlet machinery (epoch handover) falls back to the
-        generic ``_threadlet_commit``, which provably cannot mutate
-        ``order`` here (a lone threadlet has ``successor is None`` —
-        successors always live in ``order``).  Stage-for-stage this is
-        the same sequence as :meth:`step`; the parity suite holds it to
-        bit-identical cycles and stats.
-        """
-        cycle = self.cycle + 1
-        self.cycle = cycle
-        progress = 0
-        heappop = heapq.heappop
-        heappush = heapq.heappush
-
-        # --- completions ---
-        completions = self.completions
-        ready = self.ready
-        if completions and completions[0][0] <= cycle:
-            while completions and completions[0][0] <= cycle:
-                _, _, pi = heappop(completions)
-                progress += 1
-                if pi.squashed:
-                    continue
-                for consumer in pi.consumers:
-                    if consumer.squashed or consumer.issued:
-                        continue
-                    consumer.num_pending -= 1
-                    if consumer.num_pending <= 0 and consumer.dispatched:
-                        heappush(ready, (consumer.seq, consumer))
-
-        # --- commit ---
-        t = self.order[0]
-        stats = self.stats
-        inflight = t.inflight
-        if inflight and (pi := inflight[0]).ready_cycle <= cycle:
-            budget = self.core.commit_width
-            is_arch = t.is_arch
-            rob_used = self.rob_used
-            lq_used = self.lq_used
-            sq_used = self.sq_used
-            int_used = self.int_regs_used
-            fp_used = self.fp_regs_used
-            arch_count = 0
-            spec_count = 0
-            halted = False
-            while True:
-                inflight.popleft()
-                # Inlined _release_entry(pi, committed=True); see
-                # _fast_commit for the dead-branch argument.
-                rob_used -= 1
-                if pi.is_load:
-                    lq_used -= 1
-                if pi.is_store:
-                    sq_used -= 1
-                if pi.has_dest:
-                    if pi.dest_is_fp:
-                        fp_used -= 1
-                    else:
-                        int_used -= 1
-                pi.committed = True
-                budget -= 1
-                progress += 1
-                if is_arch:
-                    arch_count += 1
-                    if pi.is_halt:
-                        halted = True
-                        break
-                else:
-                    spec_count += 1
-                if budget <= 0 or not inflight:
-                    break
-                pi = inflight[0]
-                if not (pi.ready_cycle <= cycle):
-                    break
-            self.rob_used = rob_used
-            self.lq_used = lq_used
-            self.sq_used = sq_used
-            self.int_regs_used = int_used
-            self.fp_regs_used = fp_used
-            t.epoch_committed += arch_count + spec_count
-            if arch_count:
-                stats.arch_instructions += arch_count
-                region = t.stat_region
-                if region is not None:
-                    stats.region(region).arch_instructions += arch_count
-            if spec_count:
-                t.committed_while_spec += spec_count
-            if halted:
-                self._progress += progress
-                self._finish()
-                return
-        if t.faulted and t.is_arch and not t.inflight and t.fetch_done:
-            raise ExecutionError(
-                f"{self.program.name}: architectural fault: {t.faulted}"
-            )
-
-        # --- threadlet commit ---
-        fetch_queue = t.fetch_queue
-        if not inflight and not fetch_queue:
-            if t.fetch_done and t.faulted is None:
-                # Program end: the reference step still runs the
-                # remaining phases this cycle after _finish, so fall
-                # through rather than returning.
-                self._finish()
-            elif t.state is ThreadletState.HALTED:
-                self._threadlet_commit()
-
-        # --- issue ---
-        if ready:
-            budget = self.core.issue_width
-            ports = self._fu_ports_template[:]
-            retry: List[Tuple[int, PipelineInstr]] = []
-            latency = self._fu_latency_by_index
-            lf_enabled = self.lf.enabled
-            access_data = self.hierarchy.access_data
-            threadlets = self.threadlets
-            ssb_read_latency = self.lf.ssb_read_latency
-            ssb_write_latency = self.lf.ssb_write_latency
-            issued = 0
-            while budget > 0 and ready:
-                seq, pi = heappop(ready)
-                if pi.squashed or pi.issued:
-                    continue
-                ci = pi.op_index
-                if ports[ci] <= 0:
-                    retry.append((seq, pi))
-                    continue
-                ports[ci] -= 1
-                budget -= 1
-                pi.issued = True
-                issued += 1
-                done_at = cycle + latency[ci]
-                if pi.is_load:
-                    fill = access_data(pi.mem_addr, cycle, False, pi.pc)
-                    if lf_enabled and not threadlets[pi.slot].is_arch:
-                        done_at = max(cycle + ssb_read_latency, fill)
-                    else:
-                        done_at = max(done_at, fill)
-                elif pi.is_store:
-                    if lf_enabled and not threadlets[pi.slot].is_arch:
-                        done_at = cycle + ssb_write_latency
-                    else:
-                        access_data(pi.mem_addr, cycle, True, pi.pc)
-                        done_at = cycle + 1
-                pi.ready_cycle = done_at
-                heappush(completions, (done_at, seq, pi))
-            for item in retry:
-                heappush(ready, item)
-            self.iq_used -= issued
-            stats.issued_instructions += issued
-            progress += issued
-
-        # --- dispatch ---
-        # Pre-gate on shared-resource backpressure: with the ROB or IQ
-        # full the loop would break before any state change, so skip the
-        # prologue entirely (common under memory stalls).
-        if fetch_queue and (rob_used := self.rob_used) < (
-            rob_size := (core := self.core).rob_size
-        ) and (iq_used := self.iq_used) < (iq_size := core.iq_size):
-            budget = core.dispatch_width
-            lq_size = core.lq_size
-            sq_size = core.sq_size
-            int_size = core.int_phys_regs
-            fp_size = core.fp_phys_regs
-            lq_used = self.lq_used
-            sq_used = self.sq_used
-            int_used = self.int_regs_used
-            fp_used = self.fp_regs_used
-            g = self.lf.granule_bytes
-            rename = t.rename
-            store_writers = t.store_writers
-            dispatched = 0
-            while budget > 0 and fetch_queue:
-                pi = fetch_queue[0]
-                if rob_used >= rob_size or iq_used >= iq_size:
-                    break
-                is_load = pi.is_load
-                is_store = pi.is_store
-                if is_load and lq_used >= lq_size:
-                    break
-                if is_store and sq_used >= sq_size:
-                    break
-                instr = pi.instr
-                if pi.has_dest:
-                    if pi.dest_is_fp:
-                        if fp_used >= fp_size:
-                            break
-                        fp_used += 1
-                    else:
-                        if int_used >= int_size:
-                            break
-                        int_used += 1
-                fetch_queue.popleft()
-                rob_used += 1
-                iq_used += 1
-                if is_load:
-                    lq_used += 1
-                if is_store:
-                    sq_used += 1
-                deps: Optional[List[PipelineInstr]] = None
-                for reg in instr._reads:
-                    producer = rename.get(reg)
-                    if (
-                        producer is not None
-                        and not producer.squashed
-                        and not (producer.ready_cycle <= cycle)
-                    ):
-                        if deps is None:
-                            deps = [producer]
-                        else:
-                            deps.append(producer)
-                if is_load and (store_writers or pi.mem_dep_writers):
-                    seq = pi.seq
-                    mem_addr = pi.mem_addr
-                    for granule in range(
-                        mem_addr // g, (mem_addr + pi.mem_size - 1) // g + 1
-                    ):
-                        writer = store_writers.get(granule)
-                        if (
-                            writer is not None
-                            and writer.seq < seq
-                            and not writer.squashed
-                            and not (writer.ready_cycle <= cycle)
-                        ):
-                            if deps is None:
-                                deps = [writer]
-                            else:
-                                deps.append(writer)
-                    for writer in pi.mem_dep_writers:
-                        if (
-                            writer is not None
-                            and writer.seq < seq
-                            and not writer.squashed
-                            and not (writer.ready_cycle <= cycle)
-                        ):
-                            if deps is None:
-                                deps = [writer]
-                            else:
-                                deps.append(writer)
-                if deps is not None:
-                    if len(deps) == 1:
-                        unique_deps = deps
-                    else:
-                        unique_deps = []
-                        seen: Set[int] = set()
-                        for dep in deps:
-                            if id(dep) not in seen:
-                                seen.add(id(dep))
-                                unique_deps.append(dep)
-                    pi.num_pending = len(unique_deps)
-                    for dep in unique_deps:
-                        dep.consumers.append(pi)
-                for reg in instr._writes:
-                    rename[reg] = pi
-                pi.dispatched = True
-                t.inflight.append(pi)
-                dispatched += 1
-                if pi.num_pending == 0:
-                    heappush(ready, (pi.seq, pi))
-                budget -= 1
-            self.rob_used = rob_used
-            self.iq_used = iq_used
-            self.lq_used = lq_used
-            self.sq_used = sq_used
-            self.int_regs_used = int_used
-            self.fp_regs_used = fp_used
-            stats.dispatched_instructions += dispatched
-            progress += dispatched
-
-        # --- fetch ---
-        # Pre-gate, mirroring the loop-entry gates of
-        # _fast_fetch_threadlet in the same order: calls that cannot
-        # fetch and have no state to change (queue full, unresolved
-        # branch, icache stall) skip the whole call and its prologue.
-        # ~70% of per-threadlet fetch calls bail at one of these gates.
-        if t.state is ThreadletState.RUNNING and not t.fetch_done:
-            if len(t.fetch_queue) < t.fetch_queue_size:
-                br = t.fetch_stall_branch
-                if br is None:
-                    if t.fetch_stall_until <= cycle:
-                        self._fast_fetch_threadlet(t, self.core.fetch_width)
-                elif br.squashed or (
-                    br.ready_cycle <= cycle
-                ):
-                    # Resolution clears the stall inside the loop.
-                    self._fast_fetch_threadlet(t, self.core.fetch_width)
-
-        # --- per-cycle stats ---
-        order = self.order  # a fetch hint may have spawned a successor
-        active = len(order)
-        region = order[0].stat_region
-        if active == self._pcs_active and region == self._pcs_region:
-            self._pcs_count += 1
-        else:
-            if self._pcs_count:
-                self._flush_cycle_stats()
-            self._pcs_active = active
-            self._pcs_region = region
-            self._pcs_count = 1
-        if progress:
-            self._progress += progress
-
-    def _fast_fetch(self) -> None:
-        budget = self.core.fetch_width
-        running = ThreadletState.RUNNING
-        cycle = self.cycle
-        # The order snapshot is defensive: a hint-spawned successor joins
-        # ``order`` mid-loop but would not have been fetched this cycle
-        # by the reference path either (its snapshot was taken before
-        # the spawn).
-        for t in list(self.order):
-            if budget <= 0:
-                break
-            if t.state is not running or t.fetch_done:
-                continue
-            # Pre-gate, mirroring the loop-entry gates of
-            # _fast_fetch_threadlet in the same order (see
-            # _fast_step_single): gated calls have no state to change.
-            if len(t.fetch_queue) >= t.fetch_queue_size:
-                continue
-            br = t.fetch_stall_branch
-            if br is None:
-                if t.fetch_stall_until > cycle:
-                    continue
-            elif not br.squashed and not (
-                br.ready_cycle <= cycle
-            ):
-                continue
-            budget = self._fast_fetch_threadlet(t, budget)
 
     def _fast_fetch_threadlet(self, t: Threadlet, budget: int) -> int:
         cycle = self.cycle

@@ -1,36 +1,37 @@
-"""Differential parity: every engine mode vs the reference engine.
+"""Differential parity: the episode engine vs the reference engine.
 
-The engine has three execution modes (``repro.uarch.core.ENGINE_MODES``):
-the per-phase ``reference`` pipeline, the serial ``fast`` path (compiled
-per-instruction closures, merged single-threadlet step, slot-order
-caches, batched statistics), and ``epoch-parallel`` (the fast path plus
-episode execution: cross-cycle monolithic loops with epoch-granularity
-batched hazard and statistics bookkeeping).  Both optimized modes claim
-to be *bit-identical* to the reference pipeline.  This suite is that
-claim, mechanised as a three-way parity matrix:
+The engine has two execution modes (``repro.uarch.core.ENGINE_MODES``):
+the per-phase ``reference`` pipeline and ``episode`` (cross-cycle
+monolithic loops over runs of cycles with a stable threadlet population,
+with batched hazard and statistics bookkeeping).  The episode mode
+claims to be *bit-identical* to the reference pipeline.  This suite is
+that claim, mechanised as a two-way parity matrix:
 
 * the 50 seeded fuzz programs from :mod:`tests.test_differential`, and
 * every workload of every registered suite (spec2017, spec2006, longrun),
 
-each run through all three engine modes on both machine configurations,
+each run through both engine modes on both machine configurations,
 with the full :class:`~repro.uarch.statistics.SimStats` record — cycles,
 every counter, per-region breakdowns — plus the observability metric
 snapshot asserted equal field-for-field.  A separate case proves
-:meth:`Engine.run_window` (the sampled-simulation entry point) agrees on
-warmup/measured boundaries too.
+:meth:`Engine.run_window` (the sampled-simulation entry point, where
+episodes stop on sequential-progress targets) agrees on warmup/measured
+boundaries too.
 
 Every leg pins its mode explicitly with ``set_engine_mode``, so the
-suite still compares all three modes when CI runs the whole test tier
-under ``REPRO_ENGINE_REFERENCE=1`` or ``REPRO_ENGINE_MODE=...``.
+suite still compares both modes when CI runs the whole test tier under
+``REPRO_ENGINE_MODE=reference``.
 """
 
 import dataclasses
 import functools
+import itertools
 
 import pytest
 
 from repro.compiler import compile_frog
 from repro.obs.metrics import load_all
+from repro.sampling.fastforward import collect_checkpoints
 from repro.uarch.config import baseline_machine, default_machine
 from repro.uarch.core import ENGINE_MODES, Engine, set_engine_mode
 from repro.workloads.suites import SUITE_NAMES, suite
@@ -49,6 +50,12 @@ MACHINES = {
 
 # The optimized modes, each compared field-for-field to "reference".
 OPTIMIZED_MODES = tuple(m for m in ENGINE_MODES if m != "reference")
+
+# Sampled-window parity: windows start at program entry and mid-program
+# (from a fast-forward checkpoint, as the sampled runner starts them),
+# with a regular and a tiny-warmup (n_instructions, warmup) shape.
+WINDOW_STARTS = (0, 100_000)
+WINDOW_SHAPES = ((2_000, 500), (300, 7))
 
 _METRICS = load_all()
 
@@ -154,33 +161,68 @@ def test_suite_workload_parity(suite_name, bench_name, machine_name):
 # Sampled-window entry point parity
 # ---------------------------------------------------------------------------
 
+def _run_window(machine, workload, checkpoint, shape, *, mode):
+    set_engine_mode(mode)
+    try:
+        engine = Engine(
+            machine, workload.program, checkpoint.engine_memory(),
+            checkpoint.regs, warm_caches=False, initial_pc=checkpoint.pc,
+        )
+    finally:
+        set_engine_mode(None)
+    engine.apply_warmup(checkpoint.warmup)
+    n_instructions, warmup = shape
+    return engine, engine.run_window(
+        n_instructions, warmup_instructions=warmup,
+    )
+
+
 @pytest.mark.parametrize("machine_name", sorted(MACHINES))
 def test_run_window_parity(machine_name):
-    workload = suite("spec2017")[0].phases[0][0]
     machine = MACHINES[machine_name]
-    windows = {}
-    for mode in ENGINE_MODES:
-        memory, regs = workload.fresh_input()
-        set_engine_mode(mode)
-        try:
-            engine = Engine(machine(), workload.program, memory, regs)
-        finally:
-            set_engine_mode(None)
-        windows[mode] = engine.run_window(
-            2_000, warmup_instructions=500,
-        )
-    ref = windows["reference"]
-    for mode in OPTIMIZED_MODES:
-        cur = windows[mode]
-        for field in (
-            "warmup_instructions", "warmup_cycles",
-            "measured_instructions", "measured_cycles", "finished",
-        ):
-            assert getattr(cur, field) == getattr(ref, field), (
-                f"run_window {field} diverged on {machine_name} "
-                f"in mode {mode}"
+    width = machine().core.commit_width
+    multi_episodes = 0
+    overshoots = 0
+    for benchmark in suite("longrun"):
+        for workload, _weight in benchmark.phases:
+            memory, regs = workload.fresh_input()
+            checkpoints = collect_checkpoints(
+                workload.program, memory, regs, WINDOW_STARTS,
             )
-        _assert_parity(
-            ref.stats, cur.stats, mode,
-            f"run_window stats on {machine_name}",
-        )
+            for start, shape in itertools.product(
+                WINDOW_STARTS, WINDOW_SHAPES,
+            ):
+                label = (
+                    f"run_window {shape} at {start} of {workload.name} "
+                    f"on {machine_name}"
+                )
+                engines, windows = {}, {}
+                for mode in ENGINE_MODES:
+                    engines[mode], windows[mode] = _run_window(
+                        machine(), workload, checkpoints[start], shape,
+                        mode=mode,
+                    )
+                multi_episodes += engines["episode"].ep_episodes_multi
+                ref = windows["reference"]
+                # A threadlet merge credits a whole speculated slice at
+                # once, overshooting a boundary by more than one commit
+                # group.
+                if (ref.warmup_instructions > shape[1] + width
+                        or ref.measured_instructions > shape[0] + width):
+                    overshoots += 1
+                for mode in OPTIMIZED_MODES:
+                    cur = windows[mode]
+                    for field in (
+                        "warmup_instructions", "warmup_cycles",
+                        "measured_instructions", "measured_cycles",
+                        "finished",
+                    ):
+                        assert getattr(cur, field) == getattr(ref, field), (
+                            f"{label}: {field} diverged in mode {mode}"
+                        )
+                    _assert_parity(ref.stats, cur.stats, mode, label)
+    if machine_name == "loopfrog":
+        # Not vacuous: some windows stop inside multi-threadlet episodes,
+        # and merges overshoot window boundaries.
+        assert multi_episodes > 0
+        assert overshoots > 0

@@ -6,6 +6,8 @@ comparison).  Sweeps use benchmark subsets to stay fast; the benchmark
 harness under ``benchmarks/`` runs the full versions.
 """
 
+import json
+
 import pytest
 
 from repro.experiments import (
@@ -18,6 +20,7 @@ from repro.experiments import (
     run_packing_ablation,
     run_suite,
     run_table3,
+    registry,
     suite_geomean,
 )
 from repro.workloads import get_benchmark
@@ -49,6 +52,18 @@ def test_fig6_subset_winners_and_losers(subset_runs):
 def test_fig6_dynamic_deselection_prevents_slowdowns(subset_runs):
     for run in subset_runs:
         assert run.speedup >= 0.999
+
+
+def test_fig6_subset_without_a_suite_omits_it():
+    """A subset with no spec2006 benchmark drops that suite's block from
+    the render and reports its geomean as null instead of crashing."""
+    run = registry.run_experiment("fig6", only=["imagick", "x264"])
+    data = json.loads(json.dumps(run.to_json()))["data"]
+    assert data["geomean_2006_percent"] is None
+    assert data["geomean_2017_percent"] == run.result.geomean_2017_percent
+    text = run.render()
+    assert "SPEC CPU 2017" in text
+    assert "SPEC CPU 2006" not in text
 
 
 def test_benchmark_run_accessors():

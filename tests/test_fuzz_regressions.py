@@ -3,12 +3,12 @@
 Every file in ``tests/fuzz_corpus/`` is one minimized fuzz survivor.  The
 replay contract depends on the entry's ``expect`` key.  ``oracle-fires``
 entries pin live failure signals: the oracle that originally flagged the
-program must fire again, on the fast *and* the reference engine path.
-``states-match`` entries pin a *fixed* defect (the cross-region packing
-divergence repaired in engine schema v2): the oracle must fire on
-neither path, the LoopFrog core must commit exactly the functional
+program must fire again, on the episode *and* the reference engine
+mode.  ``states-match`` entries pin a *fixed* defect (the cross-region
+packing divergence repaired in engine schema v2): the oracle must fire
+in neither mode, the LoopFrog core must commit exactly the functional
 executor's memory, and the program must still reach the repaired path
-(``fixed_path_trigger``).  In both cases the engine paths must stay
+(``fixed_path_trigger``).  In both cases the engine modes must stay
 bit-identical to each other.
 """
 
@@ -26,7 +26,7 @@ from repro.fuzz.corpus import (
 )
 from repro.fuzz.engine import execute_spec
 from repro.fuzz.oracles import ORACLES
-from repro.uarch.core import set_engine_reference_mode
+from repro.uarch.core import set_engine_mode
 
 CORPUS_DIR = os.path.join(os.path.dirname(__file__), "fuzz_corpus")
 
@@ -118,13 +118,13 @@ def test_entries_convert_to_workloads():
 
 
 def test_replay_reports_engine_parity():
-    """replay_entry's parity leg really exercises both engine paths."""
+    """replay_entry's parity leg really exercises both engine modes."""
     entry = ENTRIES[0]
-    set_engine_reference_mode(True)
+    set_engine_mode("reference")
     try:
         reference = execute_spec(entry.program)
     finally:
-        set_engine_reference_mode(None)
-    fast = execute_spec(entry.program)
-    assert fast.stats.cycles == reference.stats.cycles
-    assert fast.frog_image == reference.frog_image
+        set_engine_mode(None)
+    episode = execute_spec(entry.program)
+    assert episode.stats.cycles == reference.stats.cycles
+    assert episode.frog_image == reference.frog_image

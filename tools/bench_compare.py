@@ -142,22 +142,12 @@ def compare(baseline, current, tolerance=DEFAULT_TOLERANCE):
                 f"ratio {b_ratio:.3f})"
             )
 
-    # -- engine-mode speedups (informational; parity is gated by tests) ------
+    # -- engine-mode speedup (informational; parity is gated by tests) -------
     cur_ref = current.get("reference_instructions_per_second")
     if cur_ref:
         lines.append(
             f"default mode: {cur_ips / cur_ref:.2f}x the reference engine "
             f"({cur_ref:.0f} instr/s reference)"
-        )
-    cur_ep = current.get("epoch_parallel_instructions_per_second")
-    if cur_ep:
-        cur_fast = current.get("fast_instructions_per_second")
-        vs_fast = (
-            f", {cur_ep / cur_fast:.2f}x the serial fast path "
-            f"({cur_fast:.0f} instr/s)" if cur_fast else ""
-        )
-        lines.append(
-            f"epoch-parallel: {cur_ep:.0f} instr/s{vs_fast}"
         )
 
     # -- fuzz throughput (informational; no gate — the fuzz session mixes

@@ -10,14 +10,12 @@ in-process cache and the persistent store are both bypassed, so this
 measures raw engine speed, never cache hits.
 
 The headline ``instructions_per_second`` measures the *default* engine
-mode (epoch-parallel).  Besides the aggregate, the record carries a
+mode (episode).  Besides the aggregate, the record carries a
 ``per_benchmark`` breakdown (so bench_compare.py can name the worst
-regressor on a throughput failure), per-mode throughput for all three
-engine modes (``reference_instructions_per_second``,
-``fast_instructions_per_second``,
-``epoch_parallel_instructions_per_second`` — the mode speedups are the
-ratios; the parity matrix proves the modes bit-identical), a
-per-step-phase ``phases`` breakdown from a profiled pass, and
+regressor on a throughput failure), the reference mode's throughput
+(``reference_instructions_per_second`` — the episode speedup is the
+ratio; the parity matrix proves the modes bit-identical), a
+per-phase ``phases`` breakdown from a profiled pass, and
 ``fast_forward_instructions_per_second`` — the steady-state throughput
 of the functional fast-forward executor that sampled simulation
 (docs/sampling.md) uses to skip between detailed windows.
@@ -173,9 +171,9 @@ def measure_mode(benchmarks, machines, mode):
     """Throughput of one pinned engine mode on the same subset.
 
     Together with the headline ``instructions_per_second`` (the default
-    mode, epoch-parallel) this makes the per-mode speedups visible
-    directly in BENCH_engine.json; the parity matrix
-    (tests/test_engine_parity.py) proves all modes bit-identical.
+    mode, episode) this makes the mode speedup visible directly in
+    BENCH_engine.json; the parity matrix (tests/test_engine_parity.py)
+    proves the modes bit-identical.
     """
     from repro.uarch.core import set_engine_mode
 
@@ -195,7 +193,7 @@ def measure_mode(benchmarks, machines, mode):
 
 
 def measure_phases(benchmarks, machines):
-    """Per-step-phase wall breakdown of the fast path (profiled pass).
+    """Per-phase wall breakdown of the default mode (profiled pass).
 
     Runs the subset once more under cProfile and folds the phase-method
     cumtimes with the same logic as tools/profile_engine.py, so the bench
@@ -270,12 +268,6 @@ def run_bench():
         "reference_instructions_per_second": measure_mode(
             benchmarks, machines, "reference"
         ),
-        "fast_instructions_per_second": measure_mode(
-            benchmarks, machines, "fast"
-        ),
-        "epoch_parallel_instructions_per_second": measure_mode(
-            benchmarks, machines, "epoch-parallel"
-        ),
         "phases": measure_phases(benchmarks, machines),
         "fast_forward_instructions_per_second": measure_fast_forward(
             benchmarks
@@ -306,12 +298,6 @@ def main(argv=None):
         speedup = result["instructions_per_second"] / ref
         print(f"reference path: {ref:.0f} instr/s "
               f"(default mode is {speedup:.2f}x)")
-    fast = result["fast_instructions_per_second"]
-    ep = result["epoch_parallel_instructions_per_second"]
-    if fast and ep:
-        print(f"modes: fast {fast:.0f} instr/s, "
-              f"epoch-parallel {ep:.0f} instr/s "
-              f"({ep / fast:.2f}x serial fast)")
     ff = result["fast_forward_instructions_per_second"]
     ratio = ff / result["instructions_per_second"]
     print(f"fast-forward: {ff:.0f} instr/s ({ratio:.1f}x detailed)")

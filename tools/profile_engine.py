@@ -7,20 +7,18 @@ Simulates a pinned workload subset (the bench_engine.py subset by
 default) under cProfile and reports two views:
 
 * the top-N hottest functions by cumulative time, and
-* a per-step-phase breakdown — how much wall time the engine spent in
+* a per-phase breakdown — how much wall time the engine spent in
   fetch, dispatch, issue, commit, completion processing, threadlet
-  commit and per-cycle statistics — resolved from the profile of the
-  ``Engine`` phase methods themselves.
+  commit and per-cycle statistics, or in the episode monoliths —
+  resolved from the profile of the ``Engine`` phase methods themselves.
 
 The JSON output is the before/after evidence artifact for engine perf
 work: run it on the parent commit and on your branch, and diff the
-phase seconds.  ``--mode {reference,fast,epoch-parallel}`` pins the
-engine mode to profile (default: the session default, epoch-parallel);
-``--reference`` is a legacy alias for ``--mode reference``.  Under
-epoch-parallel the breakdown additionally attributes time to the two
-episode monoliths (``episode_single``/``episode_multi``) and reports
-per-episode counts, so the epoch-batched paths and the serial
-reconciliation fallback are visible separately.
+phase seconds.  ``--mode {reference,episode}`` pins the engine mode to
+profile (default: the session default, episode); ``--reference`` is a
+legacy alias for ``--mode reference``.  Under the episode mode the
+breakdown attributes time to the two episode monoliths
+(``episode_single``/``episode_multi``) and reports per-episode counts.
 """
 
 import argparse
@@ -30,9 +28,8 @@ import pstats
 import sys
 import time
 
-# The engine step phases, in the order step() runs them.  Both the fast
-# path and the reference path keep these method names, so the breakdown
-# is comparable across engine modes.
+# The reference step phases, in the order step() runs them; the
+# threadlet-commit helper runs in both modes.
 PHASE_METHODS = {
     "completions": "_process_completions",
     "commit": "_commit",
@@ -41,14 +38,11 @@ PHASE_METHODS = {
     "dispatch": "_dispatch",
     "fetch": "_fetch",
     "per_cycle_stats": "_per_cycle_stats",
-    # The fast path merges every phase into one monolithic step for the
-    # dominant single-threadlet case; attribute it as its own phase.
-    "single_threadlet_step": "_fast_step_single",
-    # The epoch-parallel mode executes *episodes* — maximal runs of
-    # cycles with a stable threadlet population — as cross-cycle
-    # monoliths.  Each call is one episode, so the calls column is the
-    # episode count: "episode_single" covers lone-threadlet epochs,
-    # "episode_multi" the multi-threadlet (reconciliation) epochs.
+    # The episode mode executes *episodes* — maximal runs of cycles with
+    # a stable threadlet population — as cross-cycle monoliths.  Each
+    # call is one episode, so the calls column is the episode count:
+    # "episode_single" covers lone-threadlet epochs, "episode_multi" the
+    # multi-threadlet (reconciliation) epochs.
     "episode_single": "_ep_run_single",
     "episode_multi": "_ep_run_multi",
 }
@@ -99,19 +93,15 @@ def _phase_breakdown(stats, wall_seconds):
 
     Methods are matched by (core.py, method-name); cumtime of each phase
     method is exactly the wall time spent inside that phase (phases never
-    call each other).  The fast path prefixes its phase methods with
-    ``_fast`` (e.g. ``_fast_commit``), so both spellings fold into the
-    same phase bucket and reference/fast profiles stay comparable.
+    call each other, except the episode monoliths, which call
+    ``_threadlet_commit``).
     """
     phases = {}
     for (filename, _lineno, name), (_cc, nc, _tt, ct, _callers) in (
         stats.stats.items()
     ):
         for phase, method in PHASE_METHODS.items():
-            if (
-                (name == method or name == "_fast" + method)
-                and filename.endswith("core.py")
-            ):
+            if name == method and filename.endswith("core.py"):
                 entry = phases.setdefault(
                     phase, {"calls": 0, "seconds": 0.0}
                 )
@@ -130,7 +120,7 @@ def _phase_breakdown(stats, wall_seconds):
 
 
 def _episode_attribution(phases):
-    """Per-episode view of the epoch-parallel monoliths.
+    """Per-episode view of the episode monoliths.
 
     Each ``_ep_run_*`` call is one episode, so calls/seconds of those
     phase rows convert directly into episode counts and mean per-episode
@@ -191,10 +181,9 @@ def main(argv=None):
                         help="benchmarks of the suite to profile")
     parser.add_argument("--top", type=int, default=25,
                         help="hot functions to report")
-    parser.add_argument("--mode", choices=("reference", "fast",
-                                           "epoch-parallel"),
+    parser.add_argument("--mode", choices=("reference", "episode"),
                         help="engine mode to profile (default: the "
-                             "session default, epoch-parallel)")
+                             "session default, episode)")
     parser.add_argument("--reference", action="store_true",
                         help="legacy alias for --mode reference")
     parser.add_argument("--output", metavar="FILE",
