@@ -119,13 +119,13 @@ def execute_spec(spec: ProgramSpec) -> FuzzCase:
         source, CompileOptions(static_analysis=True, name="fuzz")
     )
 
+    # One input per execution: the executor runs on a copy, the engine on
+    # the original (both mutate their memory in place).
     memory, regs = spec.fresh_input()
-    ex = Executor(result.program, memory)
+    ex = Executor(result.program, memory.copy())
     ex.regs.update(regs)
     ex.run(max_instructions=CASE_MAX_INSTRUCTIONS)
-    exec_image = _image(ex.memory)
 
-    memory, regs = spec.fresh_input()
     sim = LoopFrogCore().run(
         result.program, memory, regs, max_cycles=CASE_MAX_CYCLES
     )
@@ -133,16 +133,10 @@ def execute_spec(spec: ProgramSpec) -> FuzzCase:
         spec=spec,
         source=source,
         compile_result=result,
-        exec_image=exec_image,
-        frog_image=_image(sim.memory),
+        exec_image=ex.memory.image(),
+        frog_image=sim.memory.image(),
         stats=sim.stats,
     )
-
-
-def _image(memory) -> Dict[int, int]:
-    return {
-        addr: memory.load_byte(addr) for addr in memory.written_addresses()
-    }
 
 
 # ---------------------------------------------------------------------------

@@ -89,7 +89,7 @@ def workload_digest(workload) -> str:
     memory, regs = workload.fresh_input()
     payload = [
         program_digest(workload.program),
-        sorted((addr, memory.load_byte(addr)) for addr in memory.written_addresses()),
+        sorted(memory.image().items()),
         sorted((name, value) for name, value in regs.items()),
     ]
     digest = _sha256(payload)

@@ -34,27 +34,29 @@ class _CacheLevel:
         self.line = line
         self.latency = latency
         self.num_sets = max(1, size // (assoc * line))
-        # sets[i] maps line-address -> last-use stamp (LRU via min()).
-        self.sets: List[Dict[int, int]] = [{} for _ in range(self.num_sets)]
+        # sets[i] maps line-address -> last-use stamp (LRU via min()), or
+        # is None until the set is first filled: a run touches a few
+        # hundred of the L2's thousands of sets.
+        self.sets: List[Optional[Dict[int, int]]] = [None] * self.num_sets
         self.mshrs = mshrs
         self.inflight: Dict[int, int] = {}  # line-addr -> fill-complete cycle
         self._stamp = 0
-
-    def _set_for(self, line_addr: int) -> Dict[int, int]:
-        return self.sets[line_addr % self.num_sets]
 
     def lookup(self, line_addr: int) -> bool:
         # Inlined set selection: this runs once per fetched instruction and
         # once per data access, so the extra call was measurable.
         cache_set = self.sets[line_addr % self.num_sets]
-        if line_addr in cache_set:
+        if cache_set is not None and line_addr in cache_set:
             self._stamp += 1
             cache_set[line_addr] = self._stamp
             return True
         return False
 
     def insert(self, line_addr: int) -> None:
-        cache_set = self.sets[line_addr % self.num_sets]
+        index = line_addr % self.num_sets
+        cache_set = self.sets[index]
+        if cache_set is None:
+            cache_set = self.sets[index] = {}
         self._stamp += 1
         if line_addr in cache_set:
             cache_set[line_addr] = self._stamp

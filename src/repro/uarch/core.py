@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import heapq
 import os
+from itertools import groupby
 from typing import Dict, List, Optional, Set, Tuple
 
 from ..errors import ExecutionError, SimulationError
@@ -393,10 +394,17 @@ class Engine:
         with the program text, modelling a benchmark past its warmup phase
         (the paper warms 50M instructions per SimPoint, section 6.1).
         Untouched regions — e.g. the huge sparse spans of miss-bound
-        kernels — stay cold and pay full memory latency."""
+        kernels — stay cold and pay full memory latency.
+
+        Lines are inserted in write order, once per run of consecutive
+        bytes on the same line: re-inserting the line just inserted only
+        bumps its own stamp, so every set ends in the LRU order a
+        per-byte insert would leave."""
         line = self.machine.memory.line_size
-        for addr in self.memory.written_addresses():
-            self.hierarchy.l2.insert(addr // line)
+        l2_insert = self.hierarchy.l2.insert
+        written = self.memory.written_addresses()
+        for line_addr, _ in groupby(addr // line for addr in written):
+            l2_insert(line_addr)
         self._warm_text()
 
     def _warm_text(self) -> None:

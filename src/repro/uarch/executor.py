@@ -8,6 +8,8 @@ path passes :class:`~repro.uarch.memory_state.SparseMemory` directly.
 
 The executor treats LoopFrog hints as nops, matching the paper's guarantee
 that hint instructions never change sequential semantics (section 3).
+:meth:`Executor.run` and :meth:`Executor.step` share one interpreter loop
+(``Executor._execute``); a step is that loop stopped after one instruction.
 
 Two closure-compiled siblings trade this module's generality for speed —
 :mod:`repro.sampling.fastforward` (architectural-only fast-forwarding)
@@ -429,6 +431,7 @@ def _exec_unimplemented_factory(op):
 DISPATCH = [
     _HANDLERS.get(op) or _exec_unimplemented_factory(op) for op in OPCODE_ORDER
 ]
+_HALT_INDEX = OPCODE_ORDER.index(Opcode.HALT)
 
 
 def execute_one(
@@ -486,32 +489,12 @@ class Executor:
         """Execute one instruction; returns it, or ``None`` once halted."""
         if self.halted:
             return None
-        if not 0 <= self.pc < len(self.program):
-            raise ExecutionError(
-                f"pc {self.pc} out of range in {self.program.name}"
-            )
-        instr = self.program[self.pc]
-        if instr.opcode is Opcode.HALT:
-            self.halted = True
-            self.instruction_count += 1
-            return instr
-        result = execute_one(instr, self.regs, self.memory, self.pc)
-        self.instruction_count += 1
-        counts = self.dynamic_counts
-        counts[instr.opcode] = counts.get(instr.opcode, 0) + 1
-        if self._trace_hook is not None:
-            self._trace_hook(self.pc, instr, result)
-        self.pc = result.next_pc
-        return instr
+        return self._execute(self.instruction_count + 1, is_budget=False)
 
     def run(self, max_instructions: int = 50_000_000) -> RunResult:
         """Run until ``halt`` or the instruction budget is exhausted."""
-        while not self.halted:
-            if self.instruction_count >= max_instructions:
-                raise ExecutionError(
-                    f"{self.program.name} exceeded {max_instructions} instructions"
-                )
-            self.step()
+        if not self.halted:
+            self._execute(max_instructions, is_budget=True)
         return RunResult(
             instructions=self.instruction_count,
             registers=dict(self.regs),
@@ -519,6 +502,58 @@ class Executor:
             halted=self.halted,
             dynamic_counts=dict(self.dynamic_counts),
         )
+
+    def _execute(self, stop: int, is_budget: bool) -> Optional[Instruction]:
+        """The interpreter loop behind :meth:`step` and :meth:`run`.
+
+        Executes until ``halt`` or until ``instruction_count`` reaches
+        ``stop``; reaching it is an error when ``is_budget``.  Returns
+        the last instruction executed.  The pc, the instruction count and
+        the per-opcode counts (keyed by ``opcode_index``) live in locals
+        and are written back when the loop exits, by exception too, so a
+        trace hook must not read them off the executor mid-run.
+        """
+        name = self.program.name
+        instructions = self.program.instructions
+        n = len(instructions)
+        dispatch = DISPATCH
+        regs = self.regs
+        memory = self.memory
+        hook = self._trace_hook
+        pc = self.pc
+        count = self.instruction_count
+        counts: Dict[int, int] = {}
+        instr = None
+        try:
+            while True:
+                if count >= stop:
+                    if is_budget:
+                        raise ExecutionError(
+                            f"{name} exceeded {stop} instructions"
+                        )
+                    break
+                if not 0 <= pc < n:
+                    raise ExecutionError(f"pc {pc} out of range in {name}")
+                instr = instructions[pc]
+                op = instr.opcode_index
+                if op == _HALT_INDEX:
+                    self.halted = True
+                    count += 1
+                    break
+                result = dispatch[op](instr, regs, memory, pc)
+                count += 1
+                counts[op] = counts.get(op, 0) + 1
+                if hook is not None:
+                    hook(pc, instr, result)
+                pc = result.next_pc
+        finally:
+            self.pc = pc
+            self.instruction_count = count
+            dynamic = self.dynamic_counts
+            for op, k in counts.items():
+                opcode = OPCODE_ORDER[op]
+                dynamic[opcode] = dynamic.get(opcode, 0) + k
+        return instr
 
 
 def run_program(

@@ -89,20 +89,28 @@ class SparseMemory:
     def store_float(self, addr: int, value: float, size: int = 8) -> None:
         self.store(addr, size, float_to_bits(value, size))
 
+    # The array writers pack every value first and write the bytes in one
+    # update: the same bytes, in the same insertion order, as a loop of
+    # store_int/store_float calls.  Order matters — the engine's cache
+    # warm-up replays written_addresses() in order.
+
     def store_int_array(self, addr: int, values: Iterable[int], size: int = 8) -> int:
         """Lay out ``values`` contiguously from ``addr``; returns end address."""
-        for v in values:
-            self.store_int(addr, v, size)
-            addr += size
-        return addr
+        mask = (1 << (8 * size)) - 1
+        data = b"".join((v & mask).to_bytes(size, "little") for v in values)
+        return self._store_data(addr, data)
 
     def store_float_array(
         self, addr: int, values: Iterable[float], size: int = 8
     ) -> int:
-        for v in values:
-            self.store_float(addr, v, size)
-            addr += size
-        return addr
+        values = tuple(values)
+        fmt = "d" if size == 8 else "f"
+        return self._store_data(addr, struct.pack(f"<{len(values)}{fmt}", *values))
+
+    def _store_data(self, addr: int, data: bytes) -> int:
+        end = addr + len(data)
+        self._bytes.update(zip(range(addr, end), data))
+        return end
 
     def load_int_array(
         self, addr: int, count: int, size: int = 8, signed: bool = True
@@ -121,6 +129,10 @@ class SparseMemory:
 
     def written_addresses(self) -> Iterable[int]:
         return self._bytes.keys()
+
+    def image(self) -> Dict[int, int]:
+        """Every written byte as ``{addr: value}``, in write order."""
+        return dict(self._bytes)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, SparseMemory):

@@ -1,8 +1,13 @@
 """Unit tests for the cache hierarchy timing model."""
 
+import random
+from itertools import groupby
 
+from repro.isa import assemble
 from repro.uarch.caches import MemoryHierarchy, _CacheLevel, _StridePrefetcher
-from repro.uarch.config import MemoryConfig
+from repro.uarch.config import MachineConfig, MemoryConfig
+from repro.uarch.core import Engine
+from repro.uarch.memory_state import SparseMemory
 from repro.uarch.statistics import SimStats
 
 
@@ -96,3 +101,41 @@ def test_writes_allocate_lines():
     h.access_data(0x6000, 0, is_write=True)
     ready = h.access_data(0x6000, 500, is_write=False)
     assert ready == 500 + MemoryConfig().l1d_latency
+
+
+def test_lookup_on_untouched_set_misses_without_allocating():
+    level = _CacheLevel("t", size=4 * 64, assoc=2, line=64, latency=1, mshrs=4)
+    level.insert(0)
+    assert not level.lookup(1)
+    assert level.sets == [{0: 1}, None]
+    assert level._stamp == 1
+
+
+def _lru_orders(level):
+    return [None if s is None else sorted(s, key=s.get) for s in level.sets]
+
+
+def test_line_granular_warmup_matches_per_byte_insertion():
+    # A 2-way, 4-set L2: the bytes below revisit lines non-consecutively
+    # and spread over more lines than a set holds, so insertion order
+    # decides which lines each set keeps.
+    machine = MachineConfig(memory=MemoryConfig(l2_size=2 * 4 * 64, l2_assoc=2))
+    program = assemble("halt\n")
+    rng = random.Random(7)
+    memory = SparseMemory()
+    memory.store_int_array(0, [rng.randrange(1 << 16) for _ in range(40)])
+    for _ in range(120):
+        memory.store_byte(rng.randrange(64 * 24), rng.randrange(256))
+    memory.store_int_array(64 * 3 + 32, [-1] * 12, size=4)
+    lines = [addr // 64 for addr in memory.written_addresses()]
+    runs = [line for line, _ in groupby(lines)]
+    assert len(set(lines)) > 2 * 4          # some set overflows
+    assert len(runs) > len(set(runs))       # some line is revisited later
+
+    warmed = Engine(machine, program, memory.copy())
+    reference = Engine(machine, program, memory.copy(), warm_caches=False)
+    for line_addr in lines:
+        reference.hierarchy.l2.insert(line_addr)
+    reference._warm_text()
+    assert _lru_orders(warmed.hierarchy.l2) == _lru_orders(reference.hierarchy.l2)
+    assert _lru_orders(warmed.hierarchy.l1i) == _lru_orders(reference.hierarchy.l1i)

@@ -272,10 +272,6 @@ from repro.uarch.executor import Executor  # noqa: E402
 A_BASE = 0x1_0000
 
 
-def _image(memory):
-    return {a: memory.load_byte(a) for a in memory.written_addresses()}
-
-
 def run_ground_truth(source, regs):
     """Compile with verdicts + hints, run both engines, compare state."""
     result = compile_frog(source, CompileOptions(static_analysis=True))
@@ -285,12 +281,12 @@ def run_ground_truth(source, regs):
     ex = Executor(result.program, memory)
     ex.regs.update(regs)
     ex.run(max_instructions=2_000_000)
-    exec_image = _image(ex.memory)
+    exec_image = ex.memory.image()
 
     memory = SparseMemory()
     memory.store_int_array(A_BASE, list(range(128)))
     sim = LoopFrogCore().run(result.program, memory, dict(regs))
-    assert _image(sim.memory) == exec_image, "speculation changed semantics"
+    assert sim.memory.image() == exec_image, "speculation changed semantics"
 
     dep = next(iter(result.dependence.values()))
     if dep.verdict == VERDICT_INDEPENDENT:

@@ -116,10 +116,6 @@ def _initial_regs(seed: int):
     }
 
 
-def _memory_image(mem: SparseMemory):
-    return {addr: mem.load_byte(addr) for addr in mem.written_addresses()}
-
-
 @pytest.mark.parametrize("seed", range(NUM_PROGRAMS))
 def test_loopfrog_state_matches_serial_baseline(seed):
     source = generate_program(seed)
@@ -132,7 +128,7 @@ def test_loopfrog_state_matches_serial_baseline(seed):
         program, _fresh_memory(seed), _initial_regs(seed)
     )
 
-    assert _memory_image(frog.memory) == _memory_image(base.memory), (
+    assert frog.memory.image() == base.memory.image(), (
         f"seed {seed}: speculative memory state diverged\n{source}"
     )
     assert frog.registers == base.registers, (
@@ -143,7 +139,7 @@ def test_loopfrog_state_matches_serial_baseline(seed):
     ex = Executor(program, _fresh_memory(seed))
     ex.regs.update(_initial_regs(seed))
     ex.run()
-    assert _memory_image(ex.memory) == _memory_image(base.memory), (
+    assert ex.memory.image() == base.memory.image(), (
         f"seed {seed}: baseline timing model diverged from the functional "
         f"executor\n{source}"
     )

@@ -4,6 +4,7 @@ import pytest
 
 from repro.errors import ExecutionError
 from repro.isa import assemble
+from repro.isa.instructions import Opcode
 from repro.uarch import Executor, SparseMemory, run_program
 
 
@@ -269,3 +270,96 @@ def test_sparse_memory_array_helpers():
     assert mem.load_int_array(0, 3, size=4) == [1, -2, 3]
     mem.store_float_array(100, [0.5, -1.5])
     assert mem.load_float_array(100, 2) == [0.5, -1.5]
+
+
+# run() and step() share one interpreter loop; these pin that the two
+# entry points leave identical state, including after an exception.
+
+_DIV_BY_ZERO_AFTER_28 = """
+li r1, 5
+li r2, 64
+loop:
+store r1, r2, 0
+load r3, r2, 0
+add r2, r2, 8
+sub r1, r1, 1
+bnez r1, loop
+li r4, 0
+div r5, r3, r4
+halt
+"""
+
+
+def _state(ex):
+    return (ex.pc, ex.instruction_count, list(ex.dynamic_counts.items()),
+            dict(ex.regs), ex.memory.image())
+
+
+def _traced(prog):
+    seen = []
+    ex = Executor(
+        prog,
+        trace_hook=lambda pc, i, res: seen.append((pc, i.opcode, res.mem_addr)),
+    )
+    return ex, seen
+
+
+def test_run_and_step_loop_leave_identical_state_on_exception():
+    prog = assemble(_DIV_BY_ZERO_AFTER_28)
+    by_run, run_seen = _traced(prog)
+    with pytest.raises(ExecutionError) as run_error:
+        by_run.run()
+    by_step, step_seen = _traced(prog)
+    with pytest.raises(ExecutionError) as step_error:
+        while by_step.step() is not None:
+            pass
+    assert str(run_error.value) == str(step_error.value)
+    assert str(run_error.value).startswith("division by zero at pc=8:")
+    assert _state(by_run) == _state(by_step)
+    assert (by_run.pc, by_run.instruction_count) == (8, 28)
+    assert list(by_run.dynamic_counts.items()) == [
+        (Opcode.LI, 3), (Opcode.STORE, 5), (Opcode.LOAD, 5),
+        (Opcode.ADD, 5), (Opcode.SUB, 5), (Opcode.BNEZ, 5),
+    ]
+    assert run_seen == step_seen and len(run_seen) == 28
+    assert run_seen[2] == (2, Opcode.STORE, 64)
+
+
+def test_failing_trace_hook_leaves_the_instruction_counted():
+    def hook(pc, instr, result):
+        if pc == 3:
+            raise RuntimeError("hook")
+
+    ex = Executor(assemble(_DIV_BY_ZERO_AFTER_28), trace_hook=hook)
+    with pytest.raises(RuntimeError):
+        ex.run()
+    assert (ex.pc, ex.instruction_count) == (3, 4)
+    assert list(ex.dynamic_counts.items()) == [
+        (Opcode.LI, 2), (Opcode.STORE, 1), (Opcode.LOAD, 1),
+    ]
+
+
+def test_budget_exhaustion_message_and_state():
+    prog = assemble("spin: jmp spin\n")
+    ex = Executor(prog)
+    with pytest.raises(ExecutionError, match=r"^<asm> exceeded 7 instructions$"):
+        ex.run(max_instructions=7)
+    assert (ex.pc, ex.instruction_count) == (0, 7)
+    assert ex.dynamic_counts == {Opcode.JMP: 7}
+    # Steps before a run count against its budget.
+    ex = Executor(prog)
+    ex.step()
+    with pytest.raises(ExecutionError, match="exceeded 3 instructions"):
+        ex.run(max_instructions=3)
+    assert ex.instruction_count == 3
+
+
+def test_run_after_steps_keeps_first_seen_count_order():
+    ex = Executor(assemble("li r1, 1\nadd r1, r1, 1\nli r2, 2\nmul r2, r2, 3\nhalt\n"))
+    ex.step()
+    ex.step()
+    result = ex.run()
+    assert list(result.dynamic_counts) == [Opcode.LI, Opcode.ADD, Opcode.MUL]
+    assert result.dynamic_counts[Opcode.LI] == 2
+    assert result.instructions == 5 and result.halted
+    assert ex.run().instructions == 5  # a halted executor runs nothing

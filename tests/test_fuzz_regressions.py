@@ -111,10 +111,7 @@ def test_entries_convert_to_workloads():
         memory, regs = workload.fresh_input()
         ref_memory, ref_regs = entry.program.fresh_input()
         assert regs == ref_regs
-        img = lambda m: {  # noqa: E731
-            a: m.load_byte(a) for a in m.written_addresses()
-        }
-        assert img(memory) == img(ref_memory)
+        assert memory.image() == ref_memory.image()
 
 
 def test_replay_reports_engine_parity():

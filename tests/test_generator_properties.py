@@ -73,10 +73,6 @@ def test_trip_param_map_is_exhaustive():
     assert sorted(TRIP_PARAM) == template_names()
 
 
-def _image(memory):
-    return {a: memory.load_byte(a) for a in memory.written_addresses()}
-
-
 @pytest.mark.parametrize(
     "template,overrides,label",
     CASES,
@@ -97,7 +93,7 @@ def test_boundary_case_differential(template, overrides, label):
     ex = Executor(program, memory)
     ex.regs.update(regs)
     ex.run(max_instructions=4_000_000)
-    exec_image = _image(ex.memory)
+    exec_image = ex.memory.image()
 
     # Episode engine mode (the default).
     memory, regs = workload.fresh_input()
@@ -122,7 +118,7 @@ def test_boundary_case_differential(template, overrides, label):
     assert episode.stats.arch_instructions == ref.stats.arch_instructions
     assert (episode.stats.threadlets_squashed
             == ref.stats.threadlets_squashed)
-    assert _image(episode.memory) == _image(ref.memory)
+    assert episode.memory.image() == ref.memory.image()
 
     # Semantics: speculation must commit the executor's memory.
-    assert _image(episode.memory) == exec_image
+    assert episode.memory.image() == exec_image

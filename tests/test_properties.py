@@ -3,6 +3,7 @@ engine's fundamental invariant: speculation never changes semantics."""
 
 import random
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.compiler import compile_frog
@@ -57,6 +58,88 @@ def test_memory_byte_writes_last_wins(writes):
         model[addr] = value
     for addr, value in model.items():
         assert mem.load_byte(addr) == value
+
+
+# Bulk array writers vs per-value stores.  The engine's cache warm-up and
+# the fast-forward warm-up recorder consume written_addresses() in order,
+# so the images must agree in key order too, not just as mappings.
+
+
+def _array_writes(elements):
+    """Up to three (addr, values) arrays; nearby addresses often overlap."""
+    return st.lists(
+        st.tuples(st.integers(min_value=0, max_value=48),
+                  st.lists(elements, max_size=10)),
+        min_size=1,
+        max_size=3,
+    )
+
+
+_prefill = st.lists(
+    st.tuples(st.integers(min_value=0, max_value=128),
+              st.integers(min_value=0, max_value=255)),
+    max_size=12,
+)
+
+
+def _assert_bulk_matches_per_value(bulk_store, store, writes, size, prefill):
+    bulk, reference = SparseMemory(), SparseMemory()
+    for mem in (bulk, reference):
+        for addr, value in prefill:
+            mem.store_byte(addr, value)
+    for addr, values in writes:
+        end = bulk_store(bulk, addr, values, size)
+        for value in values:
+            store(reference, addr, value, size)
+            addr += size
+        assert end == addr
+    assert list(bulk.image().items()) == list(reference.image().items())
+
+
+@given(
+    _array_writes(st.integers(min_value=-(1 << 70), max_value=1 << 70)),
+    st.sampled_from([1, 2, 4, 8]),
+    _prefill,
+)
+def test_store_int_array_matches_per_value_stores(writes, size, prefill):
+    _assert_bulk_matches_per_value(
+        SparseMemory.store_int_array, SparseMemory.store_int,
+        writes, size, prefill,
+    )
+
+
+@given(st.data())
+def test_store_float_array_matches_per_value_stores(data):
+    size = data.draw(st.sampled_from([4, 8]))
+    writes = data.draw(_array_writes(st.floats(width=8 * size)))
+    _assert_bulk_matches_per_value(
+        SparseMemory.store_float_array, SparseMemory.store_float,
+        writes, size, data.draw(_prefill),
+    )
+
+
+@pytest.mark.parametrize("size", [1, 2, 4, 8])
+def test_store_int_array_overwrite_with_wide_and_negative_values(size):
+    # The second array lands one element into the first: its bytes
+    # overwrite in place, keeping their first-write position.
+    writes = [
+        (3, [-1, 1 << 70, -(1 << 70), 0x0123456789ABCDEF, 0]),
+        (3 + size, [-2, 255, 1 << 64]),
+    ]
+    _assert_bulk_matches_per_value(
+        SparseMemory.store_int_array, SparseMemory.store_int,
+        writes, size, [(4, 9), (0, 1)],
+    )
+
+
+@pytest.mark.parametrize("size", [4, 8])
+def test_store_float_array_overwrite_with_special_values(size):
+    specials = [-0.0, float("inf"), float("-inf"), float("nan"), 1.5]
+    writes = [(0, specials), (size, specials[::-1])]
+    _assert_bulk_matches_per_value(
+        SparseMemory.store_float_array, SparseMemory.store_float,
+        writes, size, [(2, 7)],
+    )
 
 
 # ---------------------------------------------------------------------------

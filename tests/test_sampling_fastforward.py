@@ -30,7 +30,6 @@ from repro.uarch.executor import Executor
 from tests.test_differential import (
     _fresh_memory,
     _initial_regs,
-    _memory_image,
     generate_program,
 )
 
@@ -54,7 +53,7 @@ def test_fast_forward_matches_functional_executor(seed):
 
     assert ff.halted, f"seed {seed}: fast-forward did not reach halt"
     assert executed > 0
-    assert _memory_image(ff.memory) == _memory_image(ex.memory), (
+    assert ff.memory.image() == ex.memory.image(), (
         f"seed {seed}: fast-forward memory state diverged from the "
         f"functional executor"
     )
@@ -76,7 +75,7 @@ def test_detail_from_checkpoint_matches_detail_from_zero(seed):
         machine, program, _fresh_memory(seed), _initial_regs(seed)
     )
     reference.run()
-    ref_memory = _memory_image(reference.memory)
+    ref_memory = reference.memory.image()
     ref_regs = dict(reference.order[0].regs)
 
     total = FastForwardExecutor(
@@ -95,7 +94,7 @@ def test_detail_from_checkpoint_matches_detail_from_zero(seed):
             warm_caches=False, initial_pc=cp.pc,
         )
         resumed.run()
-        assert _memory_image(resumed.memory) == ref_memory, (
+        assert resumed.memory.image() == ref_memory, (
             f"seed {seed}, boundary {boundary}: resumed memory state "
             f"diverged from the detailed run from zero"
         )
@@ -116,11 +115,11 @@ def test_checkpoint_memory_is_isolated_per_window():
         program, _fresh_memory(0), _initial_regs(0), [total // 2]
     )[total // 2]
 
-    snapshot = _memory_image(cp.memory)
+    snapshot = cp.memory.image()
     first = Engine(default_machine(), program, cp.engine_memory(),
                    dict(cp.regs), warm_caches=False, initial_pc=cp.pc)
     first.run()
-    assert _memory_image(cp.memory) == snapshot, (
+    assert cp.memory.image() == snapshot, (
         "running a window mutated the checkpoint's private snapshot"
     )
 

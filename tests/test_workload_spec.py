@@ -101,8 +101,7 @@ def test_spec_instantiate_uses_spec_seed():
     # Same spec, same seed: identical input image.
     m1, r1 = w1.fresh_input()
     m2, r2 = spec.instantiate().fresh_input()
-    img = lambda m: {a: m.load_byte(a) for a in m.written_addresses()}  # noqa: E731
-    assert img(m1) == img(m2) and r1 == r2
+    assert m1.image() == m2.image() and r1 == r2
 
 
 @pytest.mark.parametrize("data,match", [
