@@ -31,12 +31,6 @@ Commands
                         CPI estimate is off by more than TOL
     workloads           list available benchmarks and their phases
     results CMD         persistent result store maintenance (stats, gc)
-    serve               serve the job API over HTTP: submit / status /
-                        result / cancel / list plus live SSE event
-                        streams per job (docs/service.md)
-    job CMD             client for a running ``repro serve`` — submit,
-                        status, result, cancel, list, events, metrics,
-                        shutdown
     trace FILE          compile + simulate a Frog file with structured
                         tracing enabled and summarize the timeline; given
                         an existing ``.jsonl`` timeline, summarize it
@@ -230,12 +224,31 @@ def _apply_runner_options(args: argparse.Namespace) -> None:
     experiments.configure(jobs=jobs if jobs is not None else os.cpu_count())
 
 
+def _parse_only(text: Optional[str],
+                suite_names: List[str]) -> Optional[List[str]]:
+    """Split ``--only NAMES``, rejecting names that match no benchmark of
+    the given suites before anything is simulated."""
+    from .workloads import suite
+
+    if not text:
+        return None
+    only = text.split(",")
+    known = list(dict.fromkeys(
+        b.name for name in suite_names for b in suite(name)
+    ))
+    unknown = [name for name in only if name not in known]
+    if unknown:
+        raise ReproError(
+            f"unknown benchmark(s) {', '.join(unknown)}; choose from: "
+            f"{', '.join(known)}"
+        )
+    return only
+
+
 def cmd_suite(args: argparse.Namespace) -> int:
-    from .experiments import suite_geomean
-    from .service import SuiteJob, local_manager
+    from .experiments import run_suite, suite_geomean
     from .workloads import available_suites
 
-    _apply_runner_options(args)
     name = args.name
     if args.spec:
         from .workloads.spec import SuiteSpec, load_spec_file, register_spec_suite
@@ -255,14 +268,9 @@ def cmd_suite(args: argparse.Namespace) -> int:
             f"unknown suite {name!r}; choose from: "
             f"{', '.join(available_suites())}"
         )
-    # Thin client of the in-process JobManager: local and served
-    # execution share one scheduler and one cache (docs/service.md).
-    job = local_manager().run(SuiteJob(
-        suite=name,
-        only=tuple(args.only.split(",")) if args.only else (),
-        sampled=bool(args.sampled),
-    ))
-    runs = job.result.runs
+    only = _parse_only(args.only, [name])
+    _apply_runner_options(args)
+    runs = run_suite(name, only=only, sampling=True if args.sampled else None)
     items = [(r.name, r.speedup_percent)
              for r in sorted(runs, key=lambda r: -r.speedup)]
     geomean = (suite_geomean(runs) - 1) * 100
@@ -273,18 +281,20 @@ def cmd_suite(args: argparse.Namespace) -> int:
 
 
 def cmd_sample(args: argparse.Namespace) -> int:
-    from .service import SimulateJob, local_manager
+    from .experiments import runner
+    from .sampling.runner import SamplingConfig, run_workload_sampled
+    from .uarch.config import default_machine
+    from .workloads import get_workload
 
     _apply_runner_options(args)
-    manager = local_manager()
-    job = manager.run(SimulateJob(
-        workload=args.workload,
-        sampled=True,
+    workload = get_workload(args.workload)
+    machine = default_machine()
+    config = SamplingConfig(
         interval_length=args.interval_length,
         max_clusters=args.max_clusters,
         seed=args.seed,
-    ))
-    result = job.result.sampled_result
+    )
+    result = run_workload_sampled(workload, machine, config)
     cached = " (cached)" if result.cached else ""
     print(f"workload:            {args.workload}{cached}")
     print(f"total instructions:  {result.total_instructions:,}")
@@ -299,7 +309,7 @@ def cmd_sample(args: argparse.Namespace) -> int:
           f"± {result.error_bound:.2%} (95% CI)")
     print(f"estimated cycles:    {result.estimated_cycles:,}")
     if args.verify is not None:
-        full = manager.run(SimulateJob(workload=args.workload)).result.stats
+        full = runner.run_workload(workload, machine)
         full_cpi = full.cycles / max(1, full.arch_instructions)
         err = (result.estimated_cpi - full_cpi) / full_cpi if full_cpi else 0.0
         print(f"full-detail CPI:     {full_cpi:.4f}")
@@ -355,22 +365,15 @@ def cmd_exp(args: argparse.Namespace) -> int:
             print(f"{spec.name:12s} {spec.kind:9s} {axes:26s} {spec.title}")
         return 0
 
-    from .service import ExperimentJob, local_manager
-
+    names_to_run = registry.names() if args.action == "all" else args.names
+    # Resolve every name, and every --only benchmark, before simulating.
+    specs = [registry.get(name) for name in names_to_run]
+    only = _parse_only(args.only, [s for spec in specs for s in spec.suites])
     _apply_runner_options(args)
     reset_counters()
-    names_to_run = registry.names() if args.action == "all" else args.names
-    # Thin client: one job per experiment through the shared in-process
-    # JobManager, same scheduler the served path uses (docs/service.md).
-    manager = local_manager()
-    runs = [
-        manager.run(ExperimentJob(
-            experiment=name,
-            only=tuple(args.only.split(",")) if args.only else (),
-            sampled=bool(args.sampled),
-        )).result
-        for name in names_to_run
-    ]
+    runs = registry.run_all(
+        names_to_run, only=only, sampling=True if args.sampled else None
+    )
     if args.out:
         manifest = registry.write_artifacts(runs, args.out)
         print(f"wrote {len(runs)} experiment(s) to {args.out} "
@@ -386,100 +389,6 @@ def cmd_exp(args: argparse.Namespace) -> int:
         cells = global_counters().to_dict()
         print(f"cells: {cells['total']} total, {cells['cached']} cached, "
               f"{cells['simulated']} simulated")
-    return 0
-
-
-def _check_port(port: int) -> None:
-    if not 0 <= port <= 65535:
-        raise ReproError(f"--port must be in 0..65535, got {port}")
-
-
-def cmd_serve(args: argparse.Namespace) -> int:
-    from .service import JobManager, ServiceServer
-
-    _check_port(args.port)
-    if args.workers < 1:
-        raise ReproError(f"--workers must be >= 1, got {args.workers}")
-    if args.max_queue < 1:
-        raise ReproError(f"--max-queue must be >= 1, got {args.max_queue}")
-    _apply_runner_options(args)
-    manager = JobManager(workers=args.workers, max_queue=args.max_queue)
-    server = ServiceServer(manager, host=args.host, port=args.port)
-    try:
-        server.start()
-    except OSError as exc:
-        raise ReproError(
-            f"cannot bind {args.host}:{args.port} ({exc})"
-        ) from exc
-    # The bound port on its own line so scripted callers (the CI smoke)
-    # can pick up a --port 0 allocation.
-    print(f"serving on {server.host}:{server.port}", flush=True)
-    try:
-        server.join()
-    except KeyboardInterrupt:
-        pass
-    finally:
-        server.stop()
-        manager.shutdown(wait=False)
-    return 0
-
-
-def cmd_job(args: argparse.Namespace) -> int:
-    import json
-
-    from .service import ServiceClient
-
-    _check_port(args.port)
-    client = ServiceClient(host=args.host, port=args.port)
-    action = args.action
-
-    if action == "submit":
-        try:
-            payload = json.loads(args.spec)
-        except ValueError as exc:
-            raise ReproError(f"bad job spec JSON: {exc}") from exc
-        job = client.submit(payload, priority=args.priority)
-        if not args.wait:
-            print(f"{job['id']} {job['state']}")
-            return 0
-        data = client.wait(job["id"])
-        data.pop("_status", None)
-        print(json.dumps(data, indent=2, sort_keys=True))
-        return 0
-    if action == "status":
-        print(json.dumps(client.status(args.id), indent=2, sort_keys=True))
-        return 0
-    if action == "result":
-        data = client.result(args.id)
-        if data.pop("_status", None) == 202:
-            state = data.get("job", {}).get("state", "pending")
-            print(f"error: job {args.id} is {state}; result not ready",
-                  file=sys.stderr)
-            return 1
-        print(json.dumps(data, indent=2, sort_keys=True))
-        return 0
-    if action == "cancel":
-        job = client.cancel(args.id)
-        print(f"{job['id']} {job['state']}")
-        return 0
-    if action == "list":
-        for job in client.list():
-            print(f"{job['id']:10s} {job['kind']:11s} {job['state']:9s} "
-                  f"client={job['client']}")
-        return 0
-    if action == "events":
-        for record in client.events(args.id):
-            print(json.dumps(record, sort_keys=True), flush=True)
-        return 0
-    if action == "metrics":
-        data = client.metrics()
-        data.pop("_status", None)
-        for name in sorted(data):
-            print(f"{name} = {data[name]}")
-        return 0
-    # shutdown
-    client.shutdown()
-    print("server shutdown requested")
     return 0
 
 
@@ -850,62 +759,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--metrics", action="store_true",
                    help="also print the metrics snapshot of the traced run")
     p.set_defaults(func=cmd_trace)
-
-    p = sub.add_parser(
-        "serve",
-        help="serve the job API over HTTP (docs/service.md)",
-    )
-    p.add_argument("--host", default="127.0.0.1",
-                   help="bind address (default 127.0.0.1)")
-    p.add_argument("--port", type=int, default=8642,
-                   help="bind port; 0 picks a free one (default 8642)")
-    p.add_argument("--workers", type=int, default=2, metavar="N",
-                   help="concurrent jobs (default 2)")
-    p.add_argument("--max-queue", type=int, default=64, metavar="N",
-                   help="queued-job admission bound; submissions beyond "
-                        "it are rejected with HTTP 429 (default 64)")
-    add_runner_options(p)
-    p.set_defaults(func=cmd_serve)
-
-    p = sub.add_parser(
-        "job",
-        help="client for a running 'repro serve' (docs/service.md)",
-    )
-    p.add_argument("--host", default="127.0.0.1",
-                   help="server address (default 127.0.0.1)")
-    p.add_argument("--port", type=int, default=8642,
-                   help="server port (default 8642)")
-    job_sub = p.add_subparsers(dest="action", required=True)
-
-    jp = job_sub.add_parser("submit", help="submit a job spec")
-    jp.add_argument("spec",
-                    help="job spec JSON, e.g. "
-                         "'{\"kind\": \"simulate\", \"workload\": \"x\"}'")
-    jp.add_argument("--priority", type=int, default=10,
-                    help="scheduling priority, lower runs sooner "
-                         "(default 10)")
-    jp.add_argument("--wait", action="store_true",
-                    help="block until the job finishes and print its "
-                         "result JSON")
-    jp.set_defaults(func=cmd_job)
-
-    for action, text in [
-        ("status", "show one job record"),
-        ("result", "fetch a finished job's result JSON"),
-        ("cancel", "cancel a queued or running job"),
-        ("events", "stream the job's live event log (one JSON per line)"),
-    ]:
-        jp = job_sub.add_parser(action, help=text)
-        jp.add_argument("id", help="job id, e.g. job-1")
-        jp.set_defaults(func=cmd_job)
-
-    for action, text in [
-        ("list", "list all jobs on the server"),
-        ("metrics", "print the server's service.* metric snapshot"),
-        ("shutdown", "ask the server to shut down cleanly"),
-    ]:
-        jp = job_sub.add_parser(action, help=text)
-        jp.set_defaults(func=cmd_job)
 
     p = sub.add_parser("results", help="persistent result store maintenance")
     p.add_argument("action", choices=["stats", "gc"])

@@ -16,12 +16,6 @@ Results are cached at two levels, both keyed by content digests of the
 * the persistent :class:`~repro.results.ResultStore`, so repeat
   invocations of the CLI skip simulation entirely.
 
-Both layers (and the ProcessPoolExecutor fan-out) live in
-:mod:`repro.service.pool`, the scheduler shared with the job service
-(docs/service.md); this module keeps its historical public surface as a
-thin veneer over that core, which is thread-safe and single-flight so
-concurrent job submission never simulates a cell twice.
-
 ``run_suite``/``run_benchmark`` accept a ``jobs`` parameter: with
 ``jobs > 1`` the distinct uncached simulations are collected, deduped and
 fanned out across a :class:`~concurrent.futures.ProcessPoolExecutor`
@@ -41,52 +35,71 @@ instead of prefetching whole simulations.
 
 from __future__ import annotations
 
+import os
+from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from ..analysis.speedup import BenchmarkResult, weighted_time
-from ..results.digest import machine_digest
-from ..service import pool as _pool
+from ..results.digest import machine_digest, run_digest, workload_digest
+from ..results.store import get_default_store
 from ..uarch.config import MachineConfig, baseline_machine, default_machine
+from ..uarch.core import Engine
 from ..uarch.statistics import SimStats
 from ..workloads.base import Benchmark, Workload
 from ..workloads.suites import suite
 from .metrics import suite_geomean  # noqa: F401  (historical home; re-exported)
 
-_CacheKey = _pool.CacheKey
+# In-process result cache.  Keyed by content digests — NOT by workload
+# name — so two workloads that happen to share a name but differ in
+# program or input can never collide, and editing a kernel's source
+# invalidates its entry automatically.
+_CacheKey = Tuple[str, str]
+_CACHE: Dict[_CacheKey, SimStats] = {}
 
-# The in-process result cache — an alias to the *same dict object* as
-# :data:`repro.service.pool._CACHE` (never rebound; tests and callers
-# mutate it directly).  Mutations are only thread-safe through the pool
-# API; direct access remains fine for the serial test fixtures that
-# predate the service.
-_CACHE: Dict[_CacheKey, SimStats] = _pool._CACHE
+# Default parallelism for run_suite/run_benchmark when the caller passes
+# ``jobs=None``.  Starts serial so library users (and the test suite) get
+# the exact historical behaviour; the CLI raises it via ``configure``.
+_default_jobs = 1
 
 
 def configure(jobs: Optional[int] = None) -> None:
     """Set process-wide runner defaults (used by the CLI entry point)."""
-    _pool.configure(jobs)
+    global _default_jobs
+    if jobs is not None:
+        _default_jobs = max(1, jobs)
 
 
 def default_jobs() -> int:
-    return _pool.default_jobs()
+    return _default_jobs
 
 
 def _resolve_jobs(jobs: Optional[int]) -> int:
-    return _pool.resolve_jobs(jobs)
-
-
-def _machine_key(machine: MachineConfig) -> str:
-    """Stable identity of a machine config (memoized content digest)."""
-    return machine_digest(machine)
+    if jobs is None:
+        return _default_jobs
+    if jobs <= 0:  # 0 / negative mean "all cores", mirroring make -j
+        return os.cpu_count() or 1
+    return jobs
 
 
 def _cache_key(workload: Workload, machine: MachineConfig) -> _CacheKey:
-    return _pool.cache_key(workload, machine)
+    return (workload_digest(workload), machine_digest(machine))
 
 
 def _simulate(workload: Workload, machine: MachineConfig) -> SimStats:
-    return _pool.simulate(workload, machine)
+    """One simulation in this process, bypassing both cache layers."""
+    memory, regs = workload.fresh_input()
+    engine = Engine(machine, workload.program, memory, regs)
+    return engine.run(max_cycles=workload.max_cycles)
+
+
+def _fill(store, workload: Workload, machine: MachineConfig,
+          key: _CacheKey, stats: SimStats) -> None:
+    """Record a fresh simulation in both cache layers."""
+    _CACHE[key] = stats
+    if store is not None:
+        store.save(run_digest(workload, machine), stats,
+                   workload=workload.name, machine=key[1][:12])
 
 
 def _sampling_config(sampling):
@@ -126,22 +139,76 @@ def run_workload(
         ).stats
     if not use_cache:
         return _simulate(workload, machine)
-    return _pool.ensure(workload, machine)
+    key = _cache_key(workload, machine)
+    stats = _CACHE.get(key)
+    if stats is not None:
+        return stats
+    store = get_default_store()
+    if store is not None:
+        stats = store.load(run_digest(workload, machine))
+        if stats is not None:
+            _CACHE[key] = stats
+            return stats
+    stats = _simulate(workload, machine)
+    _fill(store, workload, machine, key, stats)
+    return stats
 
 
-# -- parallel scheduler (delegates to repro.service.pool) ---------------------
+# -- parallel scheduler -------------------------------------------------------
 
-# Worker-side entry point, kept under its historical name so pickled
-# references from older callers still resolve.
-_run_job = _pool.run_payload
+def _run_job(payload) -> SimStats:
+    """Worker-side entry point: one simulation from a picklable payload.
+
+    The payload deliberately excludes the :class:`Workload` object —
+    its ``setup`` member is usually a closure, which does not pickle.
+    The parent materializes ``fresh_input()`` and ships plain state.
+    """
+    program, memory, regs, machine, max_cycles = payload
+    engine = Engine(machine, program, memory, regs)
+    return engine.run(max_cycles=max_cycles)
 
 
 def _prefetch(
     pairs: Iterable[Tuple[Workload, MachineConfig]], jobs: int
 ) -> None:
     """Ensure every (workload, config) pair is cached, simulating misses
-    in parallel (see :func:`repro.service.pool.prefetch`)."""
-    _pool.prefetch(pairs, jobs)
+    in parallel.
+
+    Pairs are deduped by content digest, then filtered against the
+    in-process cache and the persistent store; only true misses are
+    dispatched to worker processes.  Results land in both cache layers,
+    so the subsequent serial assembly pass is all hits.
+    """
+    store = get_default_store()
+    pending: Dict[_CacheKey, Tuple[Workload, MachineConfig]] = {}
+    for workload, machine in pairs:
+        key = _cache_key(workload, machine)
+        if key in _CACHE or key in pending:
+            continue
+        if store is not None:
+            stats = store.load(run_digest(workload, machine))
+            if stats is not None:
+                _CACHE[key] = stats
+                continue
+        pending[key] = (workload, machine)
+    if jobs <= 1 or len(pending) <= 1:
+        for key, (workload, machine) in pending.items():
+            _fill(store, workload, machine, key, _simulate(workload, machine))
+        return
+    payloads = {}
+    for key, (workload, machine) in pending.items():
+        memory, regs = workload.fresh_input()
+        payloads[key] = (
+            workload.program, memory, regs, machine, workload.max_cycles,
+        )
+    with ProcessPoolExecutor(max_workers=min(jobs, len(pending))) as pool:
+        futures = {
+            pool.submit(_run_job, payload): key
+            for key, payload in payloads.items()
+        }
+        for future in as_completed(futures):
+            key = futures[future]
+            _fill(store, *pending[key], key, future.result())
 
 
 def _benchmark_pairs(
@@ -309,7 +376,7 @@ def run_suite(
 
 
 def clear_cache() -> None:
-    _pool.clear()
+    _CACHE.clear()
 
 
 # -- cell identity (the experiment sweep engine's accounting) -----------------
@@ -339,7 +406,7 @@ def cell_cached(workload: Workload, machine: MachineConfig, sampling=None) -> bo
     simulate *or* touch the persistent store if requested now)."""
     config = _sampling_config(sampling)
     if config is None:
-        return _pool.cached(_cache_key(workload, machine))
+        return _cache_key(workload, machine) in _CACHE
     from ..results.digest import sampled_run_digest
     from ..sampling.runner import _CACHE as sampled_cache
 

@@ -36,7 +36,6 @@ from .tracing import (
     read_jsonl,
     span,
     summarize_records,
-    thread_trace_scope,
     trace_scope,
 )
 
@@ -58,6 +57,5 @@ __all__ = [
     "read_jsonl",
     "span",
     "summarize_records",
-    "thread_trace_scope",
     "trace_scope",
 ]

@@ -214,7 +214,6 @@ def load_all() -> MetricsRegistry:
     from ..experiments import spec  # noqa: F401
     from ..fuzz import engine  # noqa: F401
     from ..sampling import runner  # noqa: F401
-    from ..service import manager  # noqa: F401
     from ..uarch import (  # noqa: F401
         caches, conflict, core, executor, packing, ssb,
     )

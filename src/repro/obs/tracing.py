@@ -27,11 +27,10 @@ Export format (one JSON object per line)::
 from __future__ import annotations
 
 import json
-import threading
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterable, List, Optional
+from typing import Any, Dict, Iterable, List, Optional
 
 
 @dataclass
@@ -81,31 +80,15 @@ class EventRecord:
 
 
 class Tracer:
-    """Collects spans and events for one traced activity.
+    """Collects spans and events for one traced activity."""
 
-    ``listener``, when given, is called with each finished record as a
-    plain dict — every event at emission and every span as it closes —
-    which is how the job service streams a job's timeline live over SSE
-    while the job is still running (docs/service.md).  Listener failures
-    are swallowed: tracing stays purely observational.
-    """
-
-    def __init__(self, clock=time.perf_counter,
-                 listener: Optional[Callable[[Dict[str, Any]], None]] = None):
+    def __init__(self, clock=time.perf_counter):
         self._clock = clock
         self._t0 = clock()
         self._next_id = 1
         self._stack: List[SpanRecord] = []
-        self._listener = listener
         self.spans: List[SpanRecord] = []
         self.events: List[EventRecord] = []
-
-    def _emit(self, record: Dict[str, Any]) -> None:
-        if self._listener is not None:
-            try:
-                self._listener(record)
-            except Exception:
-                pass
 
     def _now(self) -> float:
         return self._clock() - self._t0
@@ -130,7 +113,6 @@ class Tracer:
         finally:
             self._stack.pop()
             record.end = self._now()
-            self._emit(record.to_record())
 
     def event(self, name: str, **attrs: Any) -> None:
         record = EventRecord(
@@ -140,7 +122,6 @@ class Tracer:
             attrs=dict(attrs),
         )
         self.events.append(record)
-        self._emit(record.to_record())
 
     # -- export --------------------------------------------------------------
 
@@ -250,24 +231,14 @@ def summarize_records(records: Iterable[Dict[str, Any]]) -> str:
 
 
 # ---------------------------------------------------------------------------
-# The active tracer: one process-wide slot, plus a per-thread override so
-# concurrent service jobs each route their trace into their own timeline
-# (docs/service.md) without seeing each other's records.
+# The active tracer: one process-wide slot.
 # ---------------------------------------------------------------------------
 
 _active: Optional[Tracer] = None
-_tls = threading.local()
 
 
 def current_tracer() -> Optional[Tracer]:
-    """The active tracer, or ``None`` when tracing is disabled (default).
-
-    A thread-local tracer (see :func:`thread_trace_scope`) shadows the
-    process-wide one on its own thread only.
-    """
-    tracer = getattr(_tls, "tracer", None)
-    if tracer is not None:
-        return tracer
+    """The active tracer, or ``None`` when tracing is disabled (default)."""
     return _active
 
 
@@ -295,36 +266,16 @@ def trace_scope(tracer: Optional[Tracer] = None):
         _active = previous
 
 
-@contextmanager
-def thread_trace_scope(tracer: Optional[Tracer] = None):
-    """Scoped tracing for the *current thread only*.
-
-    The installed tracer shadows the process-wide one on this thread and
-    is invisible to every other thread — the routing that gives each
-    service job its own timeline even when jobs run concurrently.
-    """
-    previous = getattr(_tls, "tracer", None)
-    _tls.tracer = tracer if tracer is not None else Tracer()
-    try:
-        yield _tls.tracer
-    finally:
-        _tls.tracer = previous
-
-
 def span(name: str, **attrs: Any):
     """Span context manager against the active tracer; no-op when disabled.
 
-    The disabled path costs one thread-local read plus one global read
-    and returns a shared inert context manager — cheap enough for
-    compile-phase granularity (it is never called per-instruction or
-    per-cycle).
+    The disabled path costs one global read and returns a shared inert
+    context manager — cheap enough for compile-phase granularity (it is
+    never called per-instruction or per-cycle).
     """
-    tracer = getattr(_tls, "tracer", None)
-    if tracer is None:
-        tracer = _active
-    if tracer is None:
+    if _active is None:
         return _NULL_CM
-    return tracer.span(name, **attrs)
+    return _active.span(name, **attrs)
 
 
 class _NullContext:

@@ -460,6 +460,21 @@ def test_suite_unknown_name_clean_error(capsys):
     assert err.startswith("error:")
 
 
+def test_suite_unknown_only_benchmark_clean_error(capsys):
+    assert main(["suite", "spec2017", "--only", "nosuch"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: unknown benchmark(s) nosuch; choose from:")
+    assert "imagick" in err
+    assert len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("argv", [["serve"], ["job", "list"]])
+def test_retired_service_commands_are_usage_errors(argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+
+
 def test_fuzz_smoke_session(capsys):
     assert main(["fuzz", "--seed", "3", "--budget", "2"]) == 0
     out = capsys.readouterr().out

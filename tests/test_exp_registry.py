@@ -255,6 +255,26 @@ def test_cli_exp_run_unknown_name_errors(capsys):
     assert "unknown experiment" in capsys.readouterr().err
 
 
+def test_cli_exp_run_checks_every_name_before_running(monkeypatch, capsys):
+    calls = []
+    monkeypatch.setattr(registry, "run_experiment",
+                        lambda *args, **kwargs: calls.append(args))
+    assert main(["exp", "run", "fig9", "fig99"]) == 1
+    assert "unknown experiment 'fig99'" in capsys.readouterr().err
+    assert calls == []
+
+
+def test_cli_exp_run_rejects_unknown_only_benchmark(monkeypatch, capsys):
+    calls = []
+    monkeypatch.setattr(registry, "run_experiment",
+                        lambda *args, **kwargs: calls.append(args))
+    assert main(["exp", "run", "fig9", "--only", "imagick,nosuch"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: unknown benchmark(s) nosuch; choose from:")
+    assert len(err.strip().splitlines()) == 1
+    assert calls == []
+
+
 def test_cli_legacy_experiment_delegates_to_registry(capsys):
     rc = main(["experiment", "fig9", "--jobs", "1"])
     assert rc == 0

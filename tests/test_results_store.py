@@ -21,6 +21,7 @@ from repro.results import (
 from repro.uarch.config import baseline_machine, default_machine
 from repro.uarch.statistics import RegionStats, SimStats
 from repro.workloads.base import Workload
+from repro.workloads.generators import tiny_loop
 from repro.workloads.suites import suite
 
 
@@ -236,3 +237,62 @@ def test_run_suite_parallel_matches_serial(no_default_store):
     runner.clear_cache()
     parallel = runner.run_suite("spec2017", only=only, jobs=2)
     assert [r.speedup for r in serial] == [r.speedup for r in parallel]
+
+
+def test_clear_cache_empties_runner_cache(no_default_store):
+    runner.run_workload(tiny_loop("clear_cache", outer=10, trip=4),
+                        default_machine())
+    assert len(runner._CACHE) == 1
+    runner.clear_cache()
+    assert not runner._CACHE
+
+
+def test_prefetch_parallel_matches_serial(no_default_store, tmp_path):
+    """The process fan-out writes the same records, and caches the same
+    stats, as the serial path; ``clear_cache`` empties the cache between."""
+    workloads = [tiny_loop(f"prefetch_par_{i}", outer=12, trip=4, seed=50 + i)
+                 for i in range(3)]
+    pairs = [(w, m) for w in workloads
+             for m in (baseline_machine(), default_machine())]
+
+    def prefetch_into(store, jobs):
+        set_default_store(store)
+        runner._prefetch(pairs, jobs=jobs)
+        cached = {key: stats_fingerprint(s) for key, s in runner._CACHE.items()}
+        runner.clear_cache()
+        assert not runner._CACHE
+        loaded = {
+            run_digest(w, m): stats_fingerprint(store.load(run_digest(w, m)))
+            for w, m in pairs
+        }
+        return store.stats().records, cached, loaded
+
+    serial = prefetch_into(ResultStore(tmp_path / "serial"), jobs=1)
+    parallel = prefetch_into(ResultStore(tmp_path / "parallel"), jobs=2)
+    assert serial[0] == len(pairs)
+    assert parallel == serial
+
+
+# -- scheduler defaults -------------------------------------------------------
+
+@pytest.fixture
+def restore_jobs():
+    saved = runner.default_jobs()
+    yield
+    runner.configure(jobs=saved)
+
+
+def test_configure_round_trips_and_clamps(restore_jobs):
+    runner.configure(jobs=3)
+    assert runner.default_jobs() == 3
+    runner.configure(jobs=-5)  # clamped to 1, the historical behaviour
+    assert runner.default_jobs() == 1
+
+
+def test_resolve_jobs_semantics(restore_jobs):
+    import os
+
+    runner.configure(jobs=2)
+    assert runner._resolve_jobs(None) == 2
+    assert runner._resolve_jobs(5) == 5
+    assert runner._resolve_jobs(0) == (os.cpu_count() or 1)

@@ -7,6 +7,7 @@ import json
 import multiprocessing
 import os
 
+from repro.experiments import runner
 from repro.results import ResultStore, stats_from_dict, stats_to_dict
 from repro.uarch.config import default_machine
 from repro.workloads.generators import tiny_loop
@@ -44,10 +45,8 @@ def _reader(root, schema, digests, stop, failures):
 
 
 def test_concurrent_writers_no_torn_records(tmp_path):
-    from repro.service import pool
-
     workload = tiny_loop("store_stress", outer=8, trip=3)
-    stats = pool.simulate(workload, default_machine())
+    stats = runner._simulate(workload, default_machine())
     payload = stats_to_dict(stats)
     digests = _digests()
     root = tmp_path / "store"
