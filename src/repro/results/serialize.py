@@ -11,6 +11,8 @@ forces to string keys — is restored to its original type.
 from __future__ import annotations
 
 import dataclasses
+import hashlib
+import json
 from typing import Any, Dict
 
 from ..uarch.statistics import RegionStats, SimStats
@@ -22,6 +24,12 @@ _STATS_FIELDS = {f.name for f in dataclasses.fields(SimStats)}
 def stats_to_dict(stats: SimStats) -> Dict[str, Any]:
     """Serialize ``stats`` into a JSON-compatible dict."""
     return dataclasses.asdict(stats)
+
+
+def stats_sha256(stats: SimStats) -> str:
+    """Fingerprint of every field of ``stats``: equal iff the records are."""
+    encoded = json.dumps(stats_to_dict(stats), sort_keys=True)
+    return hashlib.sha256(encoded.encode("utf-8")).hexdigest()
 
 
 def stats_from_dict(data: Dict[str, Any]) -> SimStats:

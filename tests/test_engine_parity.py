@@ -21,19 +21,35 @@ boundaries too.
 Every leg pins its mode explicitly with ``set_engine_mode``, so the
 suite still compares both modes when CI runs the whole test tier under
 ``REPRO_ENGINE_MODE=reference``.
+
+The suite leg also checks each run's stats against the output pin,
+``tests/engine_pin.json``: one :func:`~repro.results.serialize.stats_sha256`
+fingerprint per run digest.  The run digest carries
+``ENGINE_SCHEMA_VERSION``, so the rule is "same run digest, same
+SimStats": a timing change must bump the schema, and then
+``tools/pin_engine.py`` rewrites the pin.
 """
 
 import dataclasses
 import functools
 import itertools
+import json
+from pathlib import Path
 
 import pytest
 
 from repro.compiler import compile_frog
 from repro.obs.metrics import load_all
+from repro.results.digest import run_digest
+from repro.results.serialize import stats_sha256
 from repro.sampling.fastforward import collect_checkpoints
 from repro.uarch.config import baseline_machine, default_machine
-from repro.uarch.core import ENGINE_MODES, Engine, set_engine_mode
+from repro.uarch.core import (
+    ENGINE_MODES,
+    ENGINE_SCHEMA_VERSION,
+    Engine,
+    set_engine_mode,
+)
 from repro.workloads.suites import SUITE_NAMES, suite
 
 from tests.test_differential import (
@@ -58,6 +74,8 @@ WINDOW_STARTS = (0, 100_000)
 WINDOW_SHAPES = ((2_000, 500), (300, 7))
 
 _METRICS = load_all()
+
+_PIN = json.loads((Path(__file__).parent / "engine_pin.json").read_text())
 
 
 @functools.lru_cache(maxsize=None)
@@ -155,6 +173,36 @@ def test_suite_workload_parity(suite_name, bench_name, machine_name):
         _assert_matrix(
             runs, f"{suite_name}:{workload.name} on {machine_name}"
         )
+        _assert_pinned(workload, machine_name, runs["episode"])
+
+
+def _assert_pinned(workload, machine_name, stats):
+    pinned = _PIN["runs"].get(run_digest(workload, MACHINES[machine_name]()))
+    assert pinned is not None, (
+        f"no pin for {workload.name} on {machine_name}: "
+        f"regenerate with tools/pin_engine.py"
+    )
+    assert stats_sha256(stats) == pinned["stats_sha256"], (
+        "SimStats moved under an unchanged run digest: bump "
+        "ENGINE_SCHEMA_VERSION, then regenerate "
+        f"({workload.name} on {machine_name}: cycles "
+        f"{pinned['cycles']} -> {stats.cycles})"
+    )
+
+
+def test_engine_pin_holds_exactly_the_current_run_digests():
+    """Digests only, no simulation: every suite run (48 workload-phases x
+    2 machines) has a pin, no stale pin survives, and the pin was written
+    under the current schema."""
+    digests = [
+        run_digest(workload, make_machine())
+        for suite_name in SUITE_NAMES
+        for benchmark in suite(suite_name)
+        for workload, _weight in benchmark.phases
+        for make_machine in MACHINES.values()
+    ]
+    assert _PIN["engine_schema"] == ENGINE_SCHEMA_VERSION
+    assert sorted(_PIN["runs"]) == sorted(digests)
 
 
 # ---------------------------------------------------------------------------
