@@ -221,7 +221,7 @@ def _apply_runner_options(args: argparse.Namespace) -> None:
     elif getattr(args, "store_dir", None):
         _check_store_dir(args.store_dir)
         set_default_store(ResultStore(args.store_dir))
-    experiments.configure(jobs=jobs if jobs is not None else os.cpu_count())
+    experiments.configure(jobs=jobs or os.cpu_count())
 
 
 def _parse_only(text: Optional[str],

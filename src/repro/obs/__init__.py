@@ -1,15 +1,16 @@
 """Unified observability layer: metrics registry + structured tracing.
 
-``repro.obs`` gives every run the same three observation surfaces:
+``repro.obs`` gives every run the same two observation surfaces:
 
 * :mod:`repro.obs.metrics` — a typed catalog every subsystem registers its
   counters/gauges/histograms into, with on-demand collection from the
   existing ``SimStats``/``RunResult``/``CompileResult`` objects;
 * :mod:`repro.obs.tracing` — span-based wall-clock tracing of the
   compile → lower → simulate pipeline with per-epoch machine-time events
-  and a JSON-lines timeline exporter (``repro trace``);
-* ``tools/bench_compare.py`` — the perf-regression gate that diffs a
-  fresh engine benchmark against the committed baseline.
+  and a JSON-lines timeline exporter (``repro trace``).
+
+Speed is measured outside the program, by the repository benchmark
+(``bench/``).
 
 Everything here is disabled by default and purely observational: with no
 tracer installed and no collection requested, simulated cycle counts are

@@ -2,9 +2,10 @@
 
 Long workloads are made cheap by splitting simulation into:
 
-1. a **fast-forward** pass through a closure-compiled architectural
-   interpreter (:mod:`.fastforward`) that profiles basic-block vectors
-   per fixed-length instruction interval,
+1. a **fast-forward** pass (:mod:`.fastforward`), an architectural
+   interpreter over the detailed engine's compiled per-instruction
+   handlers, that profiles basic-block vectors per fixed-length
+   instruction interval,
 2. a deterministic **k-means** clustering of those vectors
    (:mod:`.kmeans`) that picks representative intervals and weights,
 3. **detailed windows**: the cycle-level engine replayed from

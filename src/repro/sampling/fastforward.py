@@ -1,22 +1,17 @@
-"""Fast-forward functional executor: closure-compiled architectural interp.
+"""Fast-forward functional executor: the architectural semantics at speed.
 
 Reaching interesting program regions of long workloads needs orders of
-magnitude more throughput than detailed simulation (BENCH_engine.json
-has the current ratio; the detailed engine's own fast path —
-:mod:`repro.uarch.fastpath`, which borrows this module's
-closure-compilation technique — narrows but nowhere near closes the
-gap).  This module trades the generality of
-:func:`repro.uarch.executor.execute_one` for speed while keeping its
-architectural semantics bit-exact:
+magnitude more throughput than detailed simulation (``bench/`` measures
+both: ``engine.ns_per_instr`` and ``sampling.ff_instr_per_s``).  This
+module runs the detailed engine's own compiled instruction handlers
+(:mod:`repro.uarch.fastpath`, one closure per static instruction, bit-exact
+with :func:`repro.uarch.executor.execute_one`) without any timing model:
+the hot loop is just ``pc = handlers[pc](regs, view, out)``.
 
-* every static instruction is compiled once into a specialised closure —
-  operand register names, immediates, masks and the static next-pc are
-  bound as constants at compile time, so the hot loop is just
-  ``pc = handlers[pc](regs, load, store)``;
-* no :class:`~repro.uarch.executor.ExecResult` allocation, no per-step
-  statistics, no timing model;
-* sign-extension/wrapping arithmetic is inlined (same formulas as
-  ``memory_state.to_signed``/``to_unsigned``).
+A few per-pc patches adapt those handlers to whole-program execution:
+``halt`` raises :class:`_Halt` (the engine stops before executing it),
+``ret`` faults on a negative target (a list index would wrap), and
+block-end handlers count basic-block executions when profiling.
 
 On top of the raw interpreter this module provides the sampling
 infrastructure: basic-block-vector (BBV) interval profiling,
@@ -26,31 +21,22 @@ engine's caches and branch predictor.
 
 A differential test (``tests/test_sampling_fastforward.py``) pins the
 executor against the golden :class:`~repro.uarch.executor.Executor` on
-seeded random programs: same final registers, memory and instruction
-count.
+seeded random programs: same final registers, memory, instruction count
+and fault text.
 """
 
 from __future__ import annotations
 
-import math
-import weakref
 from collections import deque
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..errors import ExecutionError
-from ..isa.instructions import Instruction, Opcode
+from ..isa.instructions import Opcode
 from ..isa.program import Program
 from ..isa.registers import initial_register_file
-from ..uarch.memory_state import (
-    MASK64,
-    SparseMemory,
-    bits_to_float,
-    float_to_bits,
-)
-
-_SIGN64 = 1 << 63
-_WRAP64 = 1 << 64
+from ..uarch.fastpath import fast_program
+from ..uarch.memory_state import SparseMemory
 
 
 class _Halt(Exception):
@@ -162,411 +148,60 @@ class Checkpoint:
 
 
 # ---------------------------------------------------------------------------
-# Closure compiler
+# Handler patches
 # ---------------------------------------------------------------------------
 
 
-def _compile_instruction(
-    instr: Instruction,
-    pc: int,
-    recorder: Optional["_WarmupRecorder"],
-):
-    """Compile one instruction into a ``(regs, load, store) -> next_pc``
-    closure.  All operand decoding happens here, once per static
-    instruction; the closures must mirror ``execute_one`` exactly."""
-    op = instr.opcode
-    srcs = instr.srcs
-    dest = instr.dest
-    nxt = pc + 1
-    has_rb = len(srcs) > 1
+class _View:
+    """The memory view fastpath handlers call."""
 
-    # -- integer ALU --------------------------------------------------------
-    if op in (Opcode.ADD, Opcode.SUB, Opcode.MUL):
-        a = srcs[0]
-        sign = 1 if op is not Opcode.SUB else -1
-        if op is Opcode.MUL:
-            if has_rb:
-                b = srcs[1]
+    __slots__ = ("load", "store")
 
-                def h(regs, load, store, _d=dest, _a=a, _b=b, _n=nxt):
-                    v = (regs[_a] * regs[_b]) & MASK64
-                    regs[_d] = v - _WRAP64 if v >= _SIGN64 else v
-                    return _n
-            else:
-                imm = instr.imm
+    def __init__(self, load, store):
+        self.load = load
+        self.store = store
 
-                def h(regs, load, store, _d=dest, _a=a, _i=imm, _n=nxt):
-                    v = (regs[_a] * _i) & MASK64
-                    regs[_d] = v - _WRAP64 if v >= _SIGN64 else v
-                    return _n
-        elif has_rb:
-            b = srcs[1]
 
-            def h(regs, load, store, _d=dest, _a=a, _b=b, _s=sign, _n=nxt):
-                v = (regs[_a] + _s * regs[_b]) & MASK64
-                regs[_d] = v - _WRAP64 if v >= _SIGN64 else v
-                return _n
-        else:
-            imm = instr.imm
-
-            def h(regs, load, store, _d=dest, _a=a, _i=imm, _s=sign, _n=nxt):
-                v = (regs[_a] + _s * _i) & MASK64
-                regs[_d] = v - _WRAP64 if v >= _SIGN64 else v
-                return _n
-        return h
-
-    if op in (Opcode.DIV, Opcode.REM):
-        a = srcs[0]
-        b = srcs[1] if has_rb else None
-        imm = None if has_rb else instr.imm
-        want_quot = op is Opcode.DIV
-
-        def h(regs, load, store, _d=dest, _a=a, _b=b, _i=imm,
-              _q=want_quot, _p=pc, _n=nxt):
-            av = int(regs[_a])
-            bv = int(regs[_b]) if _b is not None else int(_i)
-            if bv == 0:
-                raise ExecutionError(f"division by zero at pc={_p}")
-            q = abs(av) // abs(bv)
-            if (av < 0) != (bv < 0):
-                q = -q
-            v = (q if _q else av - q * bv) & MASK64
-            regs[_d] = v - _WRAP64 if v >= _SIGN64 else v
-            return _n
-        return h
-
-    if op in (Opcode.AND, Opcode.OR, Opcode.XOR):
-        a = srcs[0]
-        kind = op
-
-        if has_rb:
-            b = srcs[1]
-
-            def h(regs, load, store, _d=dest, _a=a, _b=b, _k=kind, _n=nxt):
-                av = regs[_a] & MASK64
-                bv = regs[_b] & MASK64
-                if _k is Opcode.AND:
-                    v = av & bv
-                elif _k is Opcode.OR:
-                    v = av | bv
-                else:
-                    v = av ^ bv
-                regs[_d] = v - _WRAP64 if v >= _SIGN64 else v
-                return _n
-        else:
-            bconst = int(instr.imm) & MASK64
-
-            def h(regs, load, store, _d=dest, _a=a, _bc=bconst, _k=kind, _n=nxt):
-                av = regs[_a] & MASK64
-                if _k is Opcode.AND:
-                    v = av & _bc
-                elif _k is Opcode.OR:
-                    v = av | _bc
-                else:
-                    v = av ^ _bc
-                regs[_d] = v - _WRAP64 if v >= _SIGN64 else v
-                return _n
-        return h
-
-    if op in (Opcode.SHL, Opcode.SHR):
-        a = srcs[0]
-        left = op is Opcode.SHL
-        if has_rb:
-            b = srcs[1]
-
-            def h(regs, load, store, _d=dest, _a=a, _b=b, _l=left, _n=nxt):
-                av = regs[_a] & MASK64
-                sh = int(regs[_b]) & 63
-                v = (av << sh) & MASK64 if _l else av >> sh
-                regs[_d] = v - _WRAP64 if v >= _SIGN64 else v
-                return _n
-        else:
-            sh = int(instr.imm) & 63
-
-            def h(regs, load, store, _d=dest, _a=a, _sh=sh, _l=left, _n=nxt):
-                av = regs[_a] & MASK64
-                v = (av << _sh) & MASK64 if _l else av >> _sh
-                regs[_d] = v - _WRAP64 if v >= _SIGN64 else v
-                return _n
-        return h
-
-    if op in (Opcode.SLT, Opcode.SLE, Opcode.SEQ, Opcode.SNE,
-              Opcode.FSLT, Opcode.FSLE, Opcode.FSEQ):
-        a = srcs[0]
-        b = srcs[1] if has_rb else None
-        imm = None if has_rb else instr.imm
-        cmp = {
-            Opcode.SLT: "lt", Opcode.FSLT: "lt",
-            Opcode.SLE: "le", Opcode.FSLE: "le",
-            Opcode.SEQ: "eq", Opcode.FSEQ: "eq",
-            Opcode.SNE: "ne",
-        }[op]
-
-        def h(regs, load, store, _d=dest, _a=a, _b=b, _i=imm, _c=cmp, _n=nxt):
-            av = regs[_a]
-            bv = regs[_b] if _b is not None else _i
-            if _c == "lt":
-                regs[_d] = int(av < bv)
-            elif _c == "le":
-                regs[_d] = int(av <= bv)
-            elif _c == "eq":
-                regs[_d] = int(av == bv)
-            else:
-                regs[_d] = int(av != bv)
-            return _n
-        return h
-
-    if op in (Opcode.MIN, Opcode.MAX, Opcode.FMIN, Opcode.FMAX):
-        a = srcs[0]
-        b = srcs[1] if has_rb else None
-        imm = None if has_rb else instr.imm
-        fn = min if op in (Opcode.MIN, Opcode.FMIN) else max
-
-        def h(regs, load, store, _d=dest, _a=a, _b=b, _i=imm, _f=fn, _n=nxt):
-            bv = regs[_b] if _b is not None else _i
-            regs[_d] = _f(regs[_a], bv)
-            return _n
-        return h
-
-    if op in (Opcode.MOV, Opcode.FMOV):
-        a = srcs[0]
-
-        def h(regs, load, store, _d=dest, _a=a, _n=nxt):
-            regs[_d] = regs[_a]
-            return _n
-        return h
-
-    if op is Opcode.LI:
-        v = int(instr.imm) & MASK64
-        value = v - _WRAP64 if v >= _SIGN64 else v
-
-        def h(regs, load, store, _d=dest, _v=value, _n=nxt):
-            regs[_d] = _v
-            return _n
-        return h
-
-    if op is Opcode.FLI:
-        value = float(instr.imm)
-
-        def h(regs, load, store, _d=dest, _v=value, _n=nxt):
-            regs[_d] = _v
-            return _n
-        return h
-
-    # -- floating point -----------------------------------------------------
-    if op in (Opcode.FADD, Opcode.FSUB, Opcode.FMUL, Opcode.FDIV):
-        a = srcs[0]
-        b = srcs[1] if has_rb else None
-        imm = None if has_rb else instr.imm
-        kind = op
-
-        def h(regs, load, store, _d=dest, _a=a, _b=b, _i=imm,
-              _k=kind, _p=pc, _n=nxt):
-            av = regs[_a]
-            bv = regs[_b] if _b is not None else _i
-            if _k is Opcode.FADD:
-                regs[_d] = av + bv
-            elif _k is Opcode.FSUB:
-                regs[_d] = av - bv
-            elif _k is Opcode.FMUL:
-                regs[_d] = av * bv
-            else:
-                if bv == 0.0:
-                    raise ExecutionError(f"float division by zero at pc={_p}")
-                regs[_d] = av / bv
-            return _n
-        return h
-
-    if op is Opcode.FSQRT:
-        a = srcs[0]
-
-        def h(regs, load, store, _d=dest, _a=a, _p=pc, _n=nxt):
-            av = regs[_a]
-            if av < 0.0:
-                raise ExecutionError(f"sqrt of negative at pc={_p}")
-            regs[_d] = math.sqrt(av)
-            return _n
-        return h
-
-    if op is Opcode.FABS:
-        a = srcs[0]
-
-        def h(regs, load, store, _d=dest, _a=a, _n=nxt):
-            regs[_d] = abs(regs[_a])
-            return _n
-        return h
-
-    if op is Opcode.FCVT:
-        a = srcs[0]
-
-        def h(regs, load, store, _d=dest, _a=a, _n=nxt):
-            regs[_d] = float(regs[_a])
-            return _n
-        return h
-
-    if op is Opcode.ICVT:
-        a = srcs[0]
-
-        def h(regs, load, store, _d=dest, _a=a, _n=nxt):
-            v = int(regs[_a]) & MASK64
-            regs[_d] = v - _WRAP64 if v >= _SIGN64 else v
-            return _n
-        return h
-
-    # -- memory -------------------------------------------------------------
-    if op is Opcode.LOAD:
-        base = srcs[0]
-        off = int(instr.imm or 0)
-        size = instr.size
-        sign = 1 << (8 * size - 1)
-        wrap = 1 << (8 * size)
-
-        def h(regs, load, store, _d=dest, _b=base, _o=off, _z=size,
-              _s=sign, _w=wrap, _n=nxt):
-            raw = load(int(regs[_b]) + _o, _z)
-            regs[_d] = raw - _w if raw >= _s else raw
-            return _n
-        return h
-
-    if op is Opcode.STORE:
-        val = srcs[0]
-        base = srcs[1]
-        off = int(instr.imm or 0)
-        size = instr.size
-        mask = (1 << (8 * size)) - 1
-
-        def h(regs, load, store, _v=val, _b=base, _o=off, _z=size,
-              _m=mask, _n=nxt):
-            store(int(regs[_b]) + _o, _z, int(regs[_v]) & _m)
-            return _n
-        return h
-
-    if op is Opcode.FLOAD:
-        base = srcs[0]
-        off = int(instr.imm or 0)
-        size = instr.size
-
-        def h(regs, load, store, _d=dest, _b=base, _o=off, _z=size, _n=nxt):
-            regs[_d] = bits_to_float(load(int(regs[_b]) + _o, _z), _z)
-            return _n
-        return h
-
-    if op is Opcode.FSTORE:
-        val = srcs[0]
-        base = srcs[1]
-        off = int(instr.imm or 0)
-        size = instr.size
-
-        def h(regs, load, store, _v=val, _b=base, _o=off, _z=size, _n=nxt):
-            store(int(regs[_b]) + _o, _z, float_to_bits(regs[_v], _z))
-            return _n
-        return h
-
-    # -- control flow -------------------------------------------------------
-    if op is Opcode.JMP:
-        target = instr.target_index
-        if recorder is not None:
-            rec = recorder.targets.append
-
-            def h(regs, load, store, _t=target, _p=pc, _r=rec):
-                _r((_p, _t))
-                return _t
-        else:
-
-            def h(regs, load, store, _t=target):
-                return _t
-        return h
-
-    if op in (Opcode.BEQZ, Opcode.BNEZ):
-        a = srcs[0]
-        target = instr.target_index
-        want_zero = op is Opcode.BEQZ
-        if recorder is not None:
-            rec = recorder.conds.append
-            rect = recorder.targets.append
-
-            def h(regs, load, store, _a=a, _t=target, _z=want_zero,
-                  _p=pc, _n=nxt, _r=rec, _rt=rect):
-                taken = (regs[_a] == 0) if _z else (regs[_a] != 0)
-                _r((_p, taken))
-                if taken:
-                    _rt((_p, _t))
-                    return _t
-                return _n
-        else:
-
-            def h(regs, load, store, _a=a, _t=target, _z=want_zero, _n=nxt):
-                if _z:
-                    return _t if regs[_a] == 0 else _n
-                return _t if regs[_a] != 0 else _n
-        return h
-
-    if op is Opcode.CALL:
-        target = instr.target_index
-        if recorder is not None:
-            rec = recorder.targets.append
-
-            def h(regs, load, store, _t=target, _p=pc, _n=nxt, _r=rec):
-                regs["ra"] = _n
-                _r((_p, _t))
-                return _t
-        else:
-
-            def h(regs, load, store, _t=target, _n=nxt):
-                regs["ra"] = _n
-                return _t
-        return h
-
-    if op is Opcode.RET:
-        # Guard against negative return addresses explicitly: Python list
-        # indexing would silently wrap them instead of faulting.
-        def h(regs, load, store, _p=pc):
-            target = int(regs["ra"])
-            if target < 0:
-                raise ExecutionError(f"pc {target} out of range (ret at {_p})")
-            return target
-        return h
-
-    if op is Opcode.HALT:
-        exc = _Halt(pc)
-
-        def h(regs, load, store, _e=exc):
-            raise _e
-        return h
-
-    if op in (Opcode.DETACH, Opcode.REATTACH, Opcode.SYNC, Opcode.NOP):
-
-        def h(regs, load, store, _n=nxt):
-            return _n
-        return h
-
-    def h(regs, load, store, _op=op, _p=pc):  # pragma: no cover
-        raise ExecutionError(f"unimplemented opcode {_op!r} at pc={_p}")
+def _halt(pc: int):
+    # A fresh exception per halt: one kept in the handler would keep its
+    # traceback, and with it the caller's frames and their locals, alive.
+    def h(regs, view, out, _p=pc):
+        raise _Halt(_p)
     return h
 
 
-# Recorder-free handler tables are pure functions of the program (all
-# mutable state — registers, memory — enters through call arguments), so
-# they are compiled once per program and shared across executors.  A
-# sampled run fast-forwards the same program at least twice (profiling,
-# then checkpointing), and benchmark sweeps re-run the same programs many
-# times; memoizing turns all but the first pass into pure execution.
-_HANDLER_CACHE: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
+def _checked_ret(inner, name: str):
+    # Guard against negative return addresses explicitly: Python list
+    # indexing would silently wrap them instead of faulting.
+    def h(regs, view, out, _i=inner, _name=name):
+        target = _i(regs, view, out)
+        if target < 0:
+            raise ExecutionError(f"pc {target} out of range in {_name}")
+        return target
+    return h
 
 
-def _base_handlers(program: Program) -> List:
-    handlers = _HANDLER_CACHE.get(program)
-    if handlers is None:
-        handlers = [
-            _compile_instruction(instr, pc, None)
-            for pc, instr in enumerate(program.instructions)
-        ]
-        _HANDLER_CACHE[program] = handlers
-    return handlers
+def _recorded_cond(inner, pc: int, conds, targets):
+    def h(regs, view, out, _i=inner, _p=pc, _c=conds, _t=targets):
+        nxt = _i(regs, view, out)
+        taken = out[1]
+        _c((_p, taken))
+        if taken:
+            _t((_p, nxt))
+        return nxt
+    return h
+
+
+def _recorded_jump(inner, pc: int, targets):
+    def h(regs, view, out, _i=inner, _p=pc, _t=targets):
+        nxt = _i(regs, view, out)
+        _t((_p, nxt))
+        return nxt
+    return h
 
 
 class _WarmupRecorder:
-    """History buffers the recording closures append into.
+    """History buffers the recording handlers append into.
 
     Memory is a recency-ordered last-touch map (a plain dict: re-touching
     an address moves it to the end), seeded with the initial working set;
@@ -647,21 +282,33 @@ class FastForwardExecutor:
                 _r(addr)
                 _s(addr, size, value)
 
-            self._load = load
-            self._store = store
+            self._view = _View(load, store)
         else:
-            self._load = self.memory.load
-            self._store = self.memory.store
+            self._view = _View(self.memory.load, self.memory.store)
+        self._out = [None, None]
         self._handlers = self._compile(collect_bbv)
 
     def _compile(self, collect_bbv: bool):
-        if self._recorder is None:
-            handlers = list(_base_handlers(self.program))
-        else:
-            handlers = [
-                _compile_instruction(instr, pc, self._recorder)
-                for pc, instr in enumerate(self.program.instructions)
-            ]
+        handlers = list(fast_program(self.program).handlers)
+        name = self.program.name
+        recorder = self._recorder
+        for pc, instr in enumerate(self.program.instructions):
+            op = instr.opcode
+            if op is Opcode.HALT:
+                handlers[pc] = _halt(pc)
+            elif op is Opcode.RET:
+                handlers[pc] = _checked_ret(handlers[pc], name)
+            elif recorder is None:
+                continue
+            elif op is Opcode.BEQZ or op is Opcode.BNEZ:
+                handlers[pc] = _recorded_cond(
+                    handlers[pc], pc, recorder.conds.append,
+                    recorder.targets.append,
+                )
+            elif op is Opcode.JMP or op is Opcode.CALL:
+                handlers[pc] = _recorded_jump(
+                    handlers[pc], pc, recorder.targets.append
+                )
         if collect_bbv:
             counts = self._block_counts
             block_of_pc = self.blocks.block_of_pc
@@ -669,9 +316,9 @@ class FastForwardExecutor:
                 inner = handlers[end]
                 bid = block_of_pc[end]
 
-                def counted(regs, load, store, _i=inner, _b=bid, _c=counts):
+                def counted(regs, view, out, _i=inner, _b=bid, _c=counts):
                     _c[_b] += 1
-                    return _i(regs, load, store)
+                    return _i(regs, view, out)
 
                 handlers[end] = counted
         return handlers
@@ -688,13 +335,13 @@ class FastForwardExecutor:
             return 0
         handlers = self._handlers
         regs = self.regs
-        load = self._load
-        store = self._store
+        view = self._view
+        out = self._out
         pc = self.pc
         executed = 0
         try:
             while executed < max_instructions:
-                pc = handlers[pc](regs, load, store)
+                pc = handlers[pc](regs, view, out)
                 executed += 1
         except _Halt as halt:
             pc = halt.pc
@@ -705,7 +352,7 @@ class FastForwardExecutor:
                 f"pc {pc} out of range in {self.program.name}"
             ) from None
         if not self.halted and not 0 <= pc < len(self._handlers):
-            # A ``ret`` to a bogus address lands here at the window edge.
+            # A ``ret`` past the end lands here at the window edge.
             raise ExecutionError(f"pc {pc} out of range in {self.program.name}")
         self.pc = pc
         self.icount += executed

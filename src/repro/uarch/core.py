@@ -93,10 +93,11 @@ ENGINE_SCHEMA_VERSION = 2
 #   ends on the cycle its sequential progress reaches ``_stop_at``.
 #
 # Both modes must produce bit-identical cycles and statistics — the parity
-# suite (tests/test_engine_parity.py) and the bench_compare semantics gate
-# enforce this.  The mode is resolved once per Engine at construction:
-# the REPRO_ENGINE_MODE environment variable picks a mode by name, and
-# set_engine_mode() overrides it in-process.
+# suite (tests/test_engine_parity.py) enforces this, and checks every
+# suite run against the output pin (tests/engine_pin.json).  The mode is
+# resolved once per Engine at construction: the REPRO_ENGINE_MODE
+# environment variable picks a mode by name, and set_engine_mode()
+# overrides it in-process.
 # ---------------------------------------------------------------------------
 
 _MODE_ENV = "REPRO_ENGINE_MODE"

@@ -11,11 +11,11 @@ that hint instructions never change sequential semantics (section 3).
 :meth:`Executor.run` and :meth:`Executor.step` share one interpreter loop
 (``Executor._execute``); a step is that loop stopped after one instruction.
 
-Two closure-compiled siblings trade this module's generality for speed —
+One closure-compiled form, :mod:`repro.uarch.fastpath`, trades this
+module's generality for speed.  The detailed engine's fast path and
 :mod:`repro.sampling.fastforward` (architectural-only fast-forwarding)
-and :mod:`repro.uarch.fastpath` (the detailed engine's fast path).  Both
-are differentially tested against the dispatch-table semantics here,
-which stays the oracle.
+both run it, and both are differentially tested against the
+dispatch-table semantics here, which stays the oracle.
 """
 
 from __future__ import annotations

@@ -1,8 +1,8 @@
 """Compiled per-instruction fetch path for the detailed timing engine.
 
-This extends the closure-compilation technique of
-:mod:`repro.sampling.fastforward` into :class:`repro.uarch.core.Engine`'s
-fetch/decode/execute stage.  The reference fetch path re-interprets every
+This is :class:`repro.uarch.core.Engine`'s fetch/decode/execute stage,
+and :mod:`repro.sampling.fastforward` runs the same handlers without a
+timing model.  The reference fetch path re-interprets every
 dynamic instruction through :data:`repro.uarch.executor.DISPATCH`: an
 indexed handler call that re-reads ``instr.srcs``/``instr.imm``, allocates
 an :class:`~repro.uarch.executor.ExecResult`, and re-derives signedness

@@ -1,8 +1,11 @@
 """Tests for the command-line interface."""
 
+import argparse
+import os
+
 import pytest
 
-from repro.cli import _parse_regs, build_parser, main
+from repro.cli import _apply_runner_options, _parse_regs, build_parser, main
 
 
 @pytest.fixture
@@ -195,6 +198,17 @@ def test_negative_jobs_is_an_error(capsys):
     assert main(["suite", "spec2017", "--only", "imagick",
                  "--no-store", "--jobs", "-1"]) == 1
     assert "--jobs must be >= 0" in capsys.readouterr().err
+
+
+def test_jobs_zero_means_all_cores(_restore_default_store):
+    from repro.experiments import runner
+
+    saved = runner.default_jobs()
+    try:
+        _apply_runner_options(argparse.Namespace(jobs=0, no_store=True))
+        assert runner.default_jobs() == (os.cpu_count() or 1)
+    finally:
+        runner.configure(jobs=saved)
 
 
 def test_non_integer_jobs_is_a_usage_error():

@@ -11,16 +11,25 @@ checkpoints are where mid-program windows start.  Both must be
   in exactly the architectural state a detailed run from instruction
   zero reaches.
 
+Faults must carry the executor's text, and each checkpoint's warm-up
+record must equal one rebuilt from the executor's per-instruction trace.
+
 Exercised over the same seed-pinned random Frog corpus as
 ``test_differential`` — cross-iteration memory dependencies,
 data-dependent branches and speculation pressure included.
 """
 
+from collections import deque
+
 import pytest
 
 from repro.compiler import compile_frog
+from repro.errors import ExecutionError
+from repro.isa import assemble
+from repro.isa.instructions import Opcode
 from repro.sampling.fastforward import (
     FastForwardExecutor,
+    WarmupState,
     collect_checkpoints,
 )
 from repro.uarch.config import default_machine
@@ -136,3 +145,69 @@ def test_fast_forward_run_to_is_exact():
     ff.run_to(target)
     assert ff.icount == target
     assert not ff.halted
+
+
+FAULTING_PROGRAMS = {
+    "div_by_zero_register": "li r1, 7\nli r2, 0\ndiv r3, r1, r2\nhalt\n",
+    "rem_by_zero_immediate": "li r1, 7\nrem r3, r1, 0\nhalt\n",
+    "fdiv_by_zero": "fli f1, 1.0\nfli f2, 0.0\nfdiv f3, f1, f2\nhalt\n",
+    "fsqrt_of_negative": "fli f1, -4.0\nfsqrt f2, f1\nhalt\n",
+    "ret_to_negative": "li ra, -3\nret\nhalt\n",
+    "ret_past_end": "li ra, 10\nret\nhalt\n",
+    "fall_off_end": "li r1, 1\nadd r1, r1, 1\n",
+}
+
+
+@pytest.mark.parametrize("name", sorted(FAULTING_PROGRAMS))
+def test_fast_forward_faults_carry_executor_text(name):
+    program = assemble(FAULTING_PROGRAMS[name], name=name)
+    with pytest.raises(ExecutionError) as golden:
+        Executor(program).run()
+    with pytest.raises(ExecutionError) as fast:
+        FastForwardExecutor(program).run_to_halt()
+    assert str(fast.value) == str(golden.value)
+
+
+def _golden_warmup(program, seed, icount, depth):
+    """The warm-up record rebuilt from the golden executor's trace: the
+    last-touch order of data addresses (seeded with the initial working
+    set), ``(pc, taken)`` per conditional branch, and ``(pc, next_pc)``
+    per jump, call and taken conditional branch."""
+    memory = _fresh_memory(seed)
+    touched = dict.fromkeys(memory.written_addresses())
+    conds = deque(maxlen=depth)
+    targets = deque(maxlen=depth)
+
+    def hook(pc, instr, result):
+        if result.mem_addr is not None:
+            touched.pop(result.mem_addr, None)
+            touched[result.mem_addr] = None
+        if instr.opcode in (Opcode.BEQZ, Opcode.BNEZ):
+            conds.append((pc, result.taken))
+            if result.taken:
+                targets.append((pc, result.next_pc))
+        elif instr.opcode in (Opcode.JMP, Opcode.CALL):
+            targets.append((pc, result.next_pc))
+
+    ex = Executor(program, memory, trace_hook=hook)
+    ex.regs.update(_initial_regs(seed))
+    while ex.instruction_count < icount:
+        ex.step()
+    return WarmupState(tuple(touched), tuple(conds), tuple(targets))
+
+
+@pytest.mark.parametrize("seed", range(NUM_SEEDS))
+def test_checkpoint_warmup_matches_golden_trace(seed):
+    program = _compiled(seed)
+    total = FastForwardExecutor(
+        program, _fresh_memory(seed), _initial_regs(seed)
+    ).run_to_halt()
+    boundaries = [total // 3, (2 * total) // 3]
+    checkpoints = collect_checkpoints(
+        program, _fresh_memory(seed), _initial_regs(seed), boundaries,
+        record_warmup=64,
+    )
+    for boundary in boundaries:
+        assert checkpoints[boundary].warmup == _golden_warmup(
+            program, seed, boundary, 64
+        ), f"seed {seed}: warm-up record diverged at icount {boundary}"

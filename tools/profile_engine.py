@@ -3,8 +3,9 @@
 
 Run:  PYTHONPATH=src python tools/profile_engine.py [options]
 
-Simulates a pinned workload subset (the bench_engine.py subset by
-default) under cProfile and reports two views:
+Simulates a pinned workload subset (by default the first three spec2017
+benchmarks, all phases, on both machine configs) under cProfile and
+reports two views:
 
 * the top-N hottest functions by cumulative time, and
 * a per-phase breakdown — how much wall time the engine spent in
