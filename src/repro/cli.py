@@ -22,9 +22,6 @@ Commands
                         config) cell at most once; ``--json`` emits the
                         machine-readable payload and ``--out DIR`` writes
                         per-experiment artifacts plus a manifest
-    experiment ID       regenerate one paper artefact (fig1..fig10,
-                        table2, table3, packing, assoc, area, ...);
-                        legacy alias for ``exp run ID``
     sample WORKLOAD     SimPoint-style sampled simulation of one workload
                         (docs/sampling.md); ``--verify TOL`` also runs the
                         full detailed simulation and fails if the sampled
@@ -35,7 +32,7 @@ Commands
                         tracing enabled and summarize the timeline; given
                         an existing ``.jsonl`` timeline, summarize it
 
-``suite``, ``experiment`` and ``sample`` accept ``--jobs N`` (parallel
+``suite``, ``exp run|all`` and ``sample`` accept ``--jobs N`` (parallel
 simulation across N processes; default: all cores), ``--no-store`` (skip
 the persistent result cache) and ``--store-dir DIR`` (cache location,
 default ``.repro-results/``).  ``suite`` additionally accepts
@@ -322,24 +319,6 @@ def cmd_sample(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_experiment(args: argparse.Namespace) -> int:
-    """Legacy single-artefact command; ``exp run``/``exp all`` supersede it."""
-    from .experiments import registry
-
-    known = registry.names()
-    ids = known if args.id == "all" else [args.id]
-    for exp_id in ids:
-        if exp_id not in known:
-            print(f"unknown experiment {exp_id!r}; choose from: "
-                  f"{', '.join(known)} or 'all'", file=sys.stderr)
-            return 2
-    _apply_runner_options(args)
-    for exp_id in ids:
-        print(registry.run_experiment(exp_id).render())
-        print()
-    return 0
-
-
 def cmd_exp(args: argparse.Namespace) -> int:
     import json
 
@@ -366,9 +345,22 @@ def cmd_exp(args: argparse.Namespace) -> int:
         return 0
 
     names_to_run = registry.names() if args.action == "all" else args.names
-    # Resolve every name, and every --only benchmark, before simulating.
+    # Resolve every name, and every --only benchmark, before simulating;
+    # an experiment left with no benchmark has nothing to derive from.
     specs = [registry.get(name) for name in names_to_run]
     only = _parse_only(args.only, [s for spec in specs for s in spec.suites])
+    if only is not None:
+        from .workloads import suite
+
+        empty = [
+            spec.name for spec in specs
+            if not any(b.name in only for s in spec.suites for b in suite(s))
+        ]
+        if empty:
+            raise ReproError(
+                f"--only {args.only} selects no benchmark of "
+                f"{', '.join(empty)}"
+            )
     _apply_runner_options(args)
     reset_counters()
     runs = registry.run_all(
@@ -699,14 +691,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     add_exp_options(ep)
     ep.set_defaults(func=cmd_exp)
-
-    p = sub.add_parser(
-        "experiment",
-        help="regenerate a paper artefact (legacy alias for 'exp run')",
-    )
-    p.add_argument("id", help="an experiment name (see 'exp list'), or all")
-    add_runner_options(p)
-    p.set_defaults(func=cmd_experiment)
 
     p = sub.add_parser(
         "workloads",

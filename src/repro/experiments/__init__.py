@@ -1,10 +1,11 @@
 """Experiment harnesses: one module per paper figure/table.
 
 Every module declares an :class:`~repro.experiments.spec.ExperimentSpec`
-and registers it in :mod:`repro.experiments.registry`; the historical
-``run_*`` entry points remain as thin wrappers over
-:func:`~repro.experiments.registry.run_experiment`.  See
-docs/experiments.md for the spec/registry architecture.
+and registers it in :mod:`repro.experiments.registry` when imported
+below; run one with :func:`~repro.experiments.registry.run_experiment`
+(``repro exp run NAME``).  ``tools/generate_experiments_md.py`` runs
+them all and checks the paper's claims.  See docs/experiments.md for
+the spec/registry architecture.
 
 ================  ==========================================
 paper artefact    module (registry name)
@@ -42,7 +43,6 @@ from .spec import (
     ExperimentSpec,
     Sweep,
     Variant,
-    configured_variant,
     global_counters,
     reset_counters,
     run_rows,
@@ -54,24 +54,22 @@ from .registry import (
     run_experiment,
     write_artifacts,
 )
-from .fig1_ipc_width import Fig1Result, run_fig1
-from .fig6_speedup import Fig6Result, run_fig6
-from .fig7_utilization import Fig7Result, in_region_geomean_speedup, run_fig7
-from .fig8_commit import Fig8Result, run_fig8
-from .fig9_ssb_size import Fig9Result, machine_with_ssb_size, run_fig9
-from .fig10_granule import Fig10Result, machine_with_granule, run_fig10
-from .table2_sources import Table2Result, run_table2
-from .table3_comparison import Table3Result, run_table3
-from .packing_ablation import PackingResult, run_packing_ablation
-from .assoc_sensitivity import AssocResult, run_assoc_sensitivity
-from .area_overheads import OverheadResult, run_area_overheads
-from .loops_report import LoopsReport, run_loops_report
+from .fig1_ipc_width import Fig1Result
+from .fig6_speedup import Fig6Result
+from .fig7_utilization import Fig7Result, in_region_geomean_speedup
+from .fig8_commit import Fig8Result
+from .fig9_ssb_size import Fig9Result, machine_with_ssb_size
+from .fig10_granule import Fig10Result, machine_with_granule
+from .table2_sources import Table2Result
+from .table3_comparison import Table3Result
+from .packing_ablation import PackingResult
+from .assoc_sensitivity import AssocResult
+from .area_overheads import OverheadResult
+from .loops_report import LoopsReport
 from .ablations import (
     BloomAblationResult,
     ThreadletSweepResult,
     machine_with_threadlets,
-    run_bloom_ablation,
-    run_threadlet_sweep,
 )
 
 __all__ = [
@@ -85,21 +83,12 @@ __all__ = [
     "run_workload",
     "suite_geomean",
     "CellCounters", "ExperimentSpec", "Sweep", "Variant",
-    "configured_variant", "global_counters", "reset_counters", "run_rows",
+    "global_counters", "reset_counters", "run_rows",
     "registry", "ExperimentRun", "run_all", "run_experiment",
     "write_artifacts",
-    "Fig1Result", "run_fig1",
-    "Fig6Result", "run_fig6",
-    "Fig7Result", "in_region_geomean_speedup", "run_fig7",
-    "Fig8Result", "run_fig8",
-    "Fig9Result", "machine_with_ssb_size", "run_fig9",
-    "Fig10Result", "machine_with_granule", "run_fig10",
-    "Table2Result", "run_table2",
-    "Table3Result", "run_table3",
-    "PackingResult", "run_packing_ablation",
-    "AssocResult", "run_assoc_sensitivity",
-    "OverheadResult", "run_area_overheads",
-    "LoopsReport", "run_loops_report",
-    "BloomAblationResult", "ThreadletSweepResult",
-    "machine_with_threadlets", "run_bloom_ablation", "run_threadlet_sweep",
+    "Fig1Result", "Fig6Result", "Fig7Result", "in_region_geomean_speedup",
+    "Fig8Result", "Fig9Result", "machine_with_ssb_size",
+    "Fig10Result", "machine_with_granule", "Table2Result", "Table3Result",
+    "PackingResult", "AssocResult", "OverheadResult", "LoopsReport",
+    "BloomAblationResult", "ThreadletSweepResult", "machine_with_threadlets",
 ]

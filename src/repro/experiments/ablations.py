@@ -16,7 +16,7 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass
 from functools import partial
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Tuple
 
 from ..analysis.report import format_series, format_table
 from ..uarch.config import MachineConfig, default_machine
@@ -55,17 +55,6 @@ def machine_with_threadlets(contexts: int) -> MachineConfig:
     return machine
 
 
-def _threadlet_variants(contexts) -> Tuple[Variant, ...]:
-    return tuple(
-        Variant(
-            label=f"{n}-contexts",
-            machine=partial(machine_with_threadlets, n),
-            params={"contexts": n},
-        )
-        for n in contexts
-    )
-
-
 def _derive_threadlets(sweep: Sweep) -> ThreadletSweepResult:
     points = []
     for variant in sweep.spec.variants:
@@ -89,25 +78,19 @@ THREADLET_SPEC = registry.register(ExperimentSpec(
     title="Ablation: threadlet count",
     kind="ablation",
     suites=("spec2017",),
-    variants=_threadlet_variants(CONTEXTS),
+    variants=tuple(
+        Variant(
+            label=f"{n}-contexts",
+            machine=partial(machine_with_threadlets, n),
+            params={"contexts": n},
+        )
+        for n in CONTEXTS
+    ),
     derive=_derive_threadlets,
     to_json=_json_threadlets,
     description="Geomean speedup at 2/4/8 threadlet contexts with the SSB "
                 "scaled to keep 2 KiB per slice.",
 ))
-
-
-def run_threadlet_sweep(
-    contexts=CONTEXTS,
-    suite_name: str = "spec2017",
-    only: Optional[List[str]] = None,
-) -> ThreadletSweepResult:
-    return registry.run_experiment(
-        "threadlets",
-        suites=(suite_name,),
-        variants=_threadlet_variants(contexts),
-        only=only,
-    ).result
 
 
 @dataclass
@@ -165,11 +148,3 @@ BLOOM_SPEC = registry.register(ExperimentSpec(
     description="Idealised exact conflict sets vs 4096-bit Bloom filters "
                 "with real false positives.",
 ))
-
-
-def run_bloom_ablation(
-    suite_name: str = "spec2017", only: Optional[List[str]] = None
-) -> BloomAblationResult:
-    return registry.run_experiment(
-        "bloom", suites=(suite_name,), only=only
-    ).result

@@ -8,7 +8,7 @@ increase (paper: +14%), L2 access increase (+1.7%) and L2 miss change
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, Optional
+from typing import Any, Dict
 
 from ..analysis.area import (
     AreaReport,
@@ -16,9 +16,8 @@ from ..analysis.area import (
     pollack_expected_speedup_percent,
 )
 from ..analysis.report import format_table
-from ..uarch.config import MachineConfig
 from . import registry
-from .spec import ExperimentSpec, Sweep, configured_variant
+from .spec import ExperimentSpec, Sweep, Variant
 
 
 @dataclass
@@ -110,20 +109,9 @@ SPEC = registry.register(ExperimentSpec(
     suites=("spec2017",),
     # Deselection would mask the issue/L2 overheads on unprofitable
     # benchmarks, which are exactly what this section measures.
-    variants=(configured_variant(label="default",
-                                 dynamic_deselection=False),),
+    variants=(Variant("default", dynamic_deselection=False),),
     derive=_derive,
     to_json=_json,
     description="Analytic area model plus measured issued-instruction and "
                 "L2 traffic overheads.",
 ))
-
-
-def run_area_overheads(
-    machine: Optional[MachineConfig] = None, suite_name: str = "spec2017"
-) -> OverheadResult:
-    return registry.run_experiment(
-        "area",
-        suites=(suite_name,),
-        variants=(configured_variant(machine, dynamic_deselection=False),),
-    ).result

@@ -9,7 +9,7 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass
 from functools import partial
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Tuple
 
 from ..analysis.report import format_table
 from ..uarch.config import MachineConfig, default_machine
@@ -88,17 +88,6 @@ def machine_with_assoc(assoc: int, victim: int = 0) -> MachineConfig:
     return machine
 
 
-def _variants(configurations) -> Tuple[Variant, ...]:
-    return tuple(
-        Variant(
-            label=label,
-            machine=partial(machine_with_assoc, assoc, victim),
-            params={"assoc": assoc, "victim": victim},
-        )
-        for label, assoc, victim in configurations
-    )
-
-
 def _derive(sweep: Sweep) -> AssocResult:
     points = []
     for variant in sweep.spec.variants:
@@ -135,18 +124,17 @@ SPEC = registry.register(ExperimentSpec(
     title="Section 6.6: SSB associativity sensitivity",
     kind="ablation",
     suites=("spec2017",),
-    variants=_variants(CONFIGURATIONS),
+    variants=tuple(
+        Variant(
+            label=label,
+            machine=partial(machine_with_assoc, assoc, victim),
+            params={"assoc": assoc, "victim": victim},
+        )
+        for label, assoc, victim in CONFIGURATIONS
+    ),
     derive=_derive,
     to_json=_json,
     description="Limited SSB associativity (4/8 ways) with and without a "
                 "small shared victim buffer vs the fully associative "
                 "headline.",
 ))
-
-
-def run_assoc_sensitivity(
-    suite_name: str = "spec2017", only: Optional[List[str]] = None
-) -> AssocResult:
-    return registry.run_experiment(
-        "assoc", suites=(suite_name,), only=only
-    ).result

@@ -10,7 +10,7 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass
 from functools import partial
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Tuple
 
 from ..analysis.report import format_series
 from ..uarch.config import MachineConfig, default_machine
@@ -61,17 +61,6 @@ def machine_with_granule(granule_bytes: int) -> MachineConfig:
     return machine
 
 
-def _variants(granules) -> Tuple[Variant, ...]:
-    return tuple(
-        Variant(
-            label=f"granule-{granule}",
-            machine=partial(machine_with_granule, granule),
-            params={"granule": granule},
-        )
-        for granule in granules
-    )
-
-
 def _derive(sweep: Sweep) -> Fig10Result:
     points = []
     per_benchmark: Dict[int, Dict[str, float]] = {}
@@ -101,19 +90,16 @@ SPEC = registry.register(ExperimentSpec(
     title="Figure 10: sensitivity to conflict granule size",
     kind="figure",
     suites=("spec2017",),
-    variants=_variants(GRANULES),
+    variants=tuple(
+        Variant(
+            label=f"granule-{granule}",
+            machine=partial(machine_with_granule, granule),
+            params={"granule": granule},
+        )
+        for granule in GRANULES
+    ),
     derive=_derive,
     to_json=_json,
     description="Geomean speedup as the conflict-detection granule grows "
                 "from 1 B to 32 B (false sharing from RMW granules).",
 ))
-
-
-def run_fig10(
-    granules=GRANULES,
-    suite_name: str = "spec2017",
-    only: Optional[List[str]] = None,
-) -> Fig10Result:
-    return registry.run_experiment(
-        "fig10", suites=(suite_name,), variants=_variants(granules), only=only
-    ).result

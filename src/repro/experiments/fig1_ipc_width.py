@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List
 
 from ..analysis.report import format_table
 from ..analysis.speedup import geometric_mean
@@ -58,18 +58,6 @@ class Fig1Result:
         return all(b < a for a, b in zip(utils, utils[1:]))
 
 
-def _variants(widths) -> Tuple[Variant, ...]:
-    return tuple(
-        Variant(
-            label=WIDTH_NAMES.get(width, f"{width}-wide"),
-            machine=partial(scaled_core, width),
-            paired=False,
-            params={"width": width},
-        )
-        for width in widths
-    )
-
-
 def _derive(sweep: Sweep) -> Fig1Result:
     points = []
     for variant in sweep.spec.variants:
@@ -114,16 +102,17 @@ SPEC = registry.register(ExperimentSpec(
     title="Figure 1: IPC and commit utilisation vs front-end width",
     kind="figure",
     suites=("spec2017",),
-    variants=_variants(WIDTHS),
+    variants=tuple(
+        Variant(
+            label=WIDTH_NAMES[width],
+            machine=partial(scaled_core, width),
+            paired=False,
+            params={"width": width},
+        )
+        for width in WIDTHS
+    ),
     derive=_derive,
     to_json=_json,
     description="Width sweep of the conventional baseline core: IPC "
                 "rises with width while commit utilisation falls.",
 ))
-
-
-def run_fig1(suite_name: str = "spec2017",
-             widths=WIDTHS, only: Optional[List[str]] = None) -> Fig1Result:
-    return registry.run_experiment(
-        "fig1", suites=(suite_name,), variants=_variants(widths), only=only
-    ).result

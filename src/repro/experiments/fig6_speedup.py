@@ -10,11 +10,10 @@ from dataclasses import dataclass
 from typing import Any, Dict, List, Optional
 
 from ..analysis.report import format_bars
-from ..uarch.config import MachineConfig
 from . import metrics as exp_metrics
 from . import registry
 from .runner import BenchmarkRun
-from .spec import ExperimentSpec, Sweep, configured_variant, run_rows
+from .spec import ExperimentSpec, Sweep, run_rows
 
 
 @dataclass
@@ -96,12 +95,3 @@ SPEC = registry.register(ExperimentSpec(
     description="The paper's headline result: per-benchmark and geomean "
                 "speedup of LoopFrog over the hints-as-nops baseline.",
 ))
-
-
-def run_fig6(
-    machine: Optional[MachineConfig] = None,
-    baseline: Optional[MachineConfig] = None,
-) -> Fig6Result:
-    return registry.run_experiment(
-        "fig6", variants=(configured_variant(machine, baseline),)
-    ).result

@@ -7,15 +7,14 @@ Amdahl's law, a 43% geometric-mean in-region speedup."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List
 
 from ..analysis.report import format_table
 from ..analysis.speedup import geometric_mean
-from ..uarch.config import MachineConfig
 from . import metrics as exp_metrics
 from . import registry
 from .runner import BenchmarkRun
-from .spec import ExperimentSpec, Sweep, configured_variant
+from .spec import ExperimentSpec, Sweep
 
 
 @dataclass
@@ -119,14 +118,6 @@ SPEC = registry.register(ExperimentSpec(
     description="How often >=2/>=3/4 threadlet contexts are active, on "
                 "profitable benchmarks vs overall.",
 ))
-
-
-def run_fig7(
-    machine: Optional[MachineConfig] = None, suite_name: str = "spec2017"
-) -> Fig7Result:
-    return registry.run_experiment(
-        "fig7", suites=(suite_name,), variants=(configured_variant(machine),)
-    ).result
 
 
 def in_region_geomean_speedup(runs: List[BenchmarkRun]) -> float:

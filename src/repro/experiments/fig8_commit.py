@@ -10,13 +10,12 @@ two thirds of it from five benchmarks."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List
 
 from ..analysis.report import format_table
-from ..uarch.config import MachineConfig
 from . import metrics as exp_metrics
 from . import registry
-from .spec import ExperimentSpec, Sweep, configured_variant
+from .spec import ExperimentSpec, Sweep, Variant
 
 
 @dataclass
@@ -114,20 +113,9 @@ SPEC = registry.register(ExperimentSpec(
     # Deselection would snap unprofitable benchmarks back to their
     # baseline cycle counts and hide the failed-speculation overhead this
     # figure exists to show.
-    variants=(configured_variant(label="default",
-                                 dynamic_deselection=False),),
+    variants=(Variant("default", dynamic_deselection=False),),
     derive=_derive,
     to_json=_json,
     description="Commit-bandwidth decomposition: architectural vs "
                 "successful-speculative vs squashed instructions.",
 ))
-
-
-def run_fig8(
-    machine: Optional[MachineConfig] = None, suite_name: str = "spec2017"
-) -> Fig8Result:
-    return registry.run_experiment(
-        "fig8",
-        suites=(suite_name,),
-        variants=(configured_variant(machine, dynamic_deselection=False),),
-    ).result

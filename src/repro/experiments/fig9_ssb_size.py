@@ -9,7 +9,7 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass
 from functools import partial
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Tuple
 
 from ..analysis.report import format_series
 from ..uarch.config import MachineConfig, default_machine
@@ -47,17 +47,6 @@ def machine_with_ssb_size(size_bytes: int) -> MachineConfig:
     return machine
 
 
-def _variants(sizes) -> Tuple[Variant, ...]:
-    return tuple(
-        Variant(
-            label=f"ssb-{size}",
-            machine=partial(machine_with_ssb_size, size),
-            params={"size": size},
-        )
-        for size in sizes
-    )
-
-
 def _derive(sweep: Sweep) -> Fig9Result:
     points = []
     for variant in sweep.spec.variants:
@@ -81,17 +70,16 @@ SPEC = registry.register(ExperimentSpec(
     title="Figure 9: sensitivity to SSB size",
     kind="figure",
     suites=("spec2017",),
-    variants=_variants(SIZES),
+    variants=tuple(
+        Variant(
+            label=f"ssb-{size}",
+            machine=partial(machine_with_ssb_size, size),
+            params={"size": size},
+        )
+        for size in SIZES
+    ),
     derive=_derive,
     to_json=_json,
     description="Geomean speedup as the store speculation buffer shrinks "
                 "from 32 KiB to 512 B.",
 ))
-
-
-def run_fig9(
-    sizes=SIZES, suite_name: str = "spec2017", only: Optional[List[str]] = None
-) -> Fig9Result:
-    return registry.run_experiment(
-        "fig9", suites=(suite_name,), variants=_variants(sizes), only=only
-    ).result

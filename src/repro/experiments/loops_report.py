@@ -7,13 +7,12 @@ in-region speedup."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, Optional
+from typing import Any, Dict
 
 from ..analysis.report import format_table
 from ..analysis.speedup import geometric_mean
-from ..uarch.config import MachineConfig
 from . import registry
-from .spec import ExperimentSpec, Sweep, configured_variant
+from .spec import ExperimentSpec, Sweep, Variant
 
 
 @dataclass
@@ -77,21 +76,9 @@ SPEC = registry.register(ExperimentSpec(
     suites=("spec2017", "spec2006"),
     # Deselection snaps unprofitable loops to baseline and would hide the
     # tail of the distribution.
-    variants=(configured_variant(label="default",
-                                 dynamic_deselection=False),),
+    variants=(Variant("default", dynamic_deselection=False),),
     derive=_derive,
     to_json=_json,
     description="Region-level speedups across both suites: count, max, "
                 "loops over 2x / +20%, geomean in-region speedup.",
 ))
-
-
-def run_loops_report(
-    machine: Optional[MachineConfig] = None,
-    suite_names=("spec2017", "spec2006"),
-) -> LoopsReport:
-    return registry.run_experiment(
-        "loops",
-        suites=tuple(suite_names),
-        variants=(configured_variant(machine, dynamic_deselection=False),),
-    ).result

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List
 
 from ..analysis.report import format_table
 from ..uarch.config import MachineConfig, default_machine
@@ -117,10 +117,3 @@ SPEC = registry.register(ExperimentSpec(
     description="Speedup with and without packing short iterations into "
                 "one threadlet activation.",
 ))
-
-
-def run_packing_ablation(suite_name: str = "spec2017",
-                         only: Optional[List[str]] = None) -> PackingResult:
-    return registry.run_experiment(
-        "packing", suites=(suite_name,), only=only
-    ).result

@@ -1,28 +1,27 @@
 """Central experiment registry: every paper artefact behind one API.
 
 Experiment modules register their :class:`~repro.experiments.spec.ExperimentSpec`
-at import time; the CLI (``repro exp list|run|all``), the legacy
-``repro experiment`` command, the benchmark harness and the tests all
-resolve experiments here by name.  Running several experiments through
-one :func:`run_all` invocation shares the runner's in-process cell cache
-across them, so each distinct (workload, config) simulation happens at
-most once — the per-run :class:`CellCounters` deltas prove it.
+at import time; the CLI (``repro exp list|run|all``),
+``tools/generate_experiments_md.py``, the benchmark harness and the
+tests all resolve experiments here by name.  Running several
+experiments through one :func:`run_all` invocation shares the runner's
+in-process cell cache across them, so each distinct (workload, config)
+simulation happens at most once — the per-run :class:`CellCounters`
+deltas prove it.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import os
 from dataclasses import dataclass
-from typing import Any, Dict, Iterable, List, Optional, Tuple, Union
+from typing import Any, Dict, Iterable, List, Optional, Union
 
 from ..errors import ReproError
 from ..obs.tracing import span as _span
 from .spec import (
     CellCounters,
     ExperimentSpec,
-    Variant,
     execute_spec,
     global_counters,
 )
@@ -98,22 +97,17 @@ class ExperimentRun:
 def run_experiment(
     name: Union[str, ExperimentSpec],
     only: Optional[List[str]] = None,
-    suites: Optional[Tuple[str, ...]] = None,
-    variants: Optional[Tuple[Variant, ...]] = None,
     jobs: Optional[int] = None,
     sampling: Any = None,
 ) -> ExperimentRun:
-    """Execute one registered experiment through the sweep engine.
+    """Execute one experiment through the sweep engine.
 
-    ``suites``/``variants`` override the spec's default axes (the legacy
-    entry points use this to honour their historical parameters);
-    ``only``/``jobs``/``sampling`` thread through to the runner.
+    ``name`` is a registered name or a spec object; to sweep narrower
+    axes, pass ``dataclasses.replace(registry.get(name), suites=...,
+    variants=...)``.  ``only``/``jobs``/``sampling`` thread through to
+    the runner.
     """
     spec = get(name) if isinstance(name, str) else name
-    if suites is not None:
-        spec = dataclasses.replace(spec, suites=tuple(suites))
-    if variants is not None:
-        spec = dataclasses.replace(spec, variants=tuple(variants))
     counters = CellCounters()
     with _span(
         "exp.run",

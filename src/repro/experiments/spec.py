@@ -92,22 +92,6 @@ class Variant:
         )
 
 
-def configured_variant(
-    machine: Optional[MachineConfig] = None,
-    baseline: Optional[MachineConfig] = None,
-    label: str = "default",
-    **kwargs: Any,
-) -> Variant:
-    """A :class:`Variant` pinning already-built configs (legacy entry
-    points accept config *instances*; specs want factories)."""
-    return Variant(
-        label=label,
-        machine=(lambda: machine) if machine is not None else None,
-        baseline=(lambda: baseline) if baseline is not None else None,
-        **kwargs,
-    )
-
-
 # ---------------------------------------------------------------------------
 # Spec
 # ---------------------------------------------------------------------------

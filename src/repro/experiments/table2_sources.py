@@ -8,7 +8,7 @@ category: memory parallelism (17 loops / 29%), control dependencies
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List
 
 from ..analysis.categorize import (
     CategoryShare,
@@ -16,11 +16,10 @@ from ..analysis.categorize import (
     phase_classifications,
 )
 from ..analysis.report import format_table
-from ..uarch.config import MachineConfig
 from ..workloads.base import ALL_CATEGORIES
 from . import metrics as exp_metrics
 from . import registry
-from .spec import ExperimentSpec, Sweep, configured_variant
+from .spec import ExperimentSpec, Sweep
 
 _CATEGORY_TITLES = {
     "memory_parallelism": ("True parallelism", "Memory parallelism"),
@@ -111,14 +110,3 @@ SPEC = registry.register(ExperimentSpec(
     description="Attributes each profitable benchmark's gain to a dominant "
                 "mechanism (parallelism vs prefetching sub-categories).",
 ))
-
-
-def run_table2(
-    machine: Optional[MachineConfig] = None,
-    suite_names=("spec2017", "spec2006"),
-) -> Table2Result:
-    return registry.run_experiment(
-        "table2",
-        suites=tuple(suite_names),
-        variants=(configured_variant(machine),),
-    ).result

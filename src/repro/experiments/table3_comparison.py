@@ -11,7 +11,7 @@ deployment)."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List
 
 from ..analysis.report import format_table
 from ..analysis.speedup import geometric_mean
@@ -22,11 +22,10 @@ from ..tls import (
     simulate_multiscalar,
     simulate_stampede,
 )
-from ..uarch.config import MachineConfig
 from ..workloads.suites import suite
 from . import metrics as exp_metrics
 from . import registry
-from .spec import ExperimentSpec, Sweep, configured_variant
+from .spec import ExperimentSpec, Sweep
 
 
 @dataclass
@@ -152,16 +151,3 @@ SPEC = registry.register(ExperimentSpec(
     description="LoopFrog vs STAMPede and Multiscalar epoch models on the "
                 "same task traces, each over its own baseline.",
 ))
-
-
-def run_table3(
-    machine: Optional[MachineConfig] = None,
-    suite_name: str = "spec2017",
-    only: Optional[List[str]] = None,
-) -> Table3Result:
-    return registry.run_experiment(
-        "table3",
-        suites=(suite_name,),
-        variants=(configured_variant(machine),),
-        only=only,
-    ).result

@@ -79,10 +79,6 @@ def test_workloads_command(capsys):
     assert "profitable" in out
 
 
-def test_unknown_experiment_id(capsys):
-    assert main(["experiment", "fig99"]) == 2
-
-
 def test_workloads_lists_longrun_suite(capsys):
     assert main(["workloads"]) == 0
     out = capsys.readouterr().out

@@ -1,10 +1,10 @@
 """Golden parity tests for the declarative experiment registry.
 
-Every figure/table used to be a hand-rolled ``run_*`` function calling
+Every figure/table used to be a hand-rolled function calling
 ``run_suite``/``run_workload`` directly.  These tests replicate those
-pre-refactor computations inline (lifted verbatim from the old modules)
+pre-registry computations inline (lifted verbatim from the old modules)
 and assert the registry path produces **numerically identical** results
-and **identical rendered text** on shared workload subsets.
+on shared workload subsets.
 
 Exact ``==`` on floats is deliberate: the engine is deterministic and the
 spec engine must be pure bookkeeping — any drift, however small, means
@@ -251,22 +251,3 @@ def test_fig1_matches_direct_width_sweep():
         assert point.geomean_ipc == geometric_mean(ipcs)
         assert point.commit_utilization == sum(utils) / len(utils)
 
-
-# ---------------------------------------------------------------------------
-# Rendered text parity
-# ---------------------------------------------------------------------------
-
-def test_renders_are_identical_to_legacy_entry_points():
-    """The thin ``run_*`` wrappers delegate to the registry with the same
-    axes, so their rendered reports must match the registry's character
-    for character (same subset via the shared cell cache)."""
-    from repro.experiments.fig9_ssb_size import run_fig9
-    from repro.experiments.packing_ablation import run_packing_ablation
-
-    via_registry = registry.run_experiment("fig9", only=SUBSET17)
-    via_wrapper = run_fig9(only=SUBSET17)
-    assert via_wrapper.render() == via_registry.result.render()
-    assert via_wrapper.render() == via_registry.render()
-
-    assert (run_packing_ablation(only=SUBSET17).render()
-            == registry.run_experiment("packing", only=SUBSET17).render())

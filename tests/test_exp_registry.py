@@ -6,6 +6,7 @@ must simulate each distinct (workload, config) cell at most once across
 all experiments, proven by the ``exp.cells_*`` counters.
 """
 
+import dataclasses
 import json
 
 import pytest
@@ -173,10 +174,10 @@ def test_counters_surface_through_the_metrics_registry():
 
 def test_axis_overrides_do_not_mutate_registered_spec():
     spec = registry.get("fig6")
-    run = registry.run_experiment(
-        "fig6", suites=("spec2017",), only=SUBSET17
-    )
-    assert run.spec.suites == ("spec2017",)
+    narrowed = dataclasses.replace(spec, suites=("spec2017",))
+    run = registry.run_experiment(narrowed, only=SUBSET17)
+    assert run.spec is narrowed
+    assert run.result.runs_2006 == []
     assert registry.get("fig6") is spec
     assert spec.suites == ("spec2006", "spec2017")
 
@@ -275,7 +276,17 @@ def test_cli_exp_run_rejects_unknown_only_benchmark(monkeypatch, capsys):
     assert calls == []
 
 
-def test_cli_legacy_experiment_delegates_to_registry(capsys):
-    rc = main(["experiment", "fig9", "--jobs", "1"])
-    assert rc == 0
-    assert "Figure 9" in capsys.readouterr().out
+def test_cli_exp_all_rejects_only_that_leaves_an_experiment_empty(
+    monkeypatch, capsys
+):
+    calls = []
+    monkeypatch.setattr(registry, "run_experiment",
+                        lambda *args, **kwargs: calls.append(args))
+    assert main(["exp", "all", "--only", "libquantum"]) == 1
+    err = capsys.readouterr().err
+    assert err == (
+        "error: --only libquantum selects no benchmark of fig1, fig7, "
+        "fig8, fig9, fig10, table3, packing, assoc, area, threadlets, "
+        "bloom\n"
+    )
+    assert calls == []

@@ -1,25 +1,19 @@
 """Integration tests for the experiment harnesses.
 
 These check the *shape* of each reproduced figure/table against the
-paper's qualitative claims (see EXPERIMENTS.md for the quantitative
-comparison).  Sweeps use benchmark subsets to stay fast; the benchmark
-harness under ``benchmarks/`` runs the full versions.
+paper's qualitative claims on benchmark subsets and narrowed sweep axes,
+to stay fast.  ``tools/generate_experiments_md.py`` runs the full
+versions and checks every paper claim (see EXPERIMENTS.md).
 """
 
+import dataclasses
 import json
 
 import pytest
 
 from repro.experiments import (
-    run_area_overheads,
-    run_assoc_sensitivity,
     run_benchmark,
-    run_fig1,
-    run_fig9,
-    run_fig10,
-    run_packing_ablation,
     run_suite,
-    run_table3,
     registry,
     suite_geomean,
 )
@@ -28,14 +22,30 @@ from repro.workloads import get_benchmark
 SUBSET = ["imagick", "omnetpp", "mcf", "x264", "xz", "leela"]
 
 
+def _run(name, only, suites=None, **params):
+    """Result of experiment ``name`` on the ``only`` benchmarks, narrowed
+    to ``suites`` and to the variants whose ``params`` take one of the
+    given values (e.g. ``width=(4, 8)``)."""
+    spec = registry.get(name)
+    spec = dataclasses.replace(
+        spec,
+        suites=suites or spec.suites,
+        variants=tuple(
+            v for v in spec.variants
+            if all(v.params[k] in values for k, values in params.items())
+        ),
+    )
+    return registry.run_experiment(spec, only=only).result
+
+
 @pytest.fixture(scope="module")
 def subset_runs():
     return run_suite("spec2017", only=SUBSET)
 
 
 def test_fig1_width_trends():
-    result = run_fig1(only=["imagick", "mcf", "omnetpp", "namd"],
-                      widths=(4, 8))
+    result = _run("fig1", ["imagick", "mcf", "omnetpp", "namd"],
+                  width=(4, 8))
     assert result.ipc_increases_with_width
     assert result.utilization_decreases_with_width
 
@@ -76,7 +86,7 @@ def test_benchmark_run_accessors():
 
 
 def test_fig9_ssb_size_binary_behaviour():
-    result = run_fig9(sizes=(512, 8192), only=SUBSET)
+    result = _run("fig9", SUBSET, size=(512, 8192))
     # Smaller SSBs lose speedup, but even 512 B keeps a good chunk
     # (paper: 6.2% of 9.5%).
     small, full = result.speedup_at(512), result.speedup_at(8192)
@@ -85,21 +95,21 @@ def test_fig9_ssb_size_binary_behaviour():
 
 
 def test_fig10_granule_sensitivity():
-    result = run_fig10(granules=(4, 16), only=SUBSET)
+    result = _run("fig10", SUBSET, granule=(4, 16))
     # 16-byte granules introduce false sharing and lose speedup.
     assert result.speedup_at(16) < result.speedup_at(4)
 
 
 def test_fig10_one_to_four_bytes_equivalent():
-    result = run_fig10(granules=(1, 4), only=["imagick", "mcf"])
+    result = _run("fig10", ["imagick", "mcf"], granule=(1, 4))
     assert result.speedup_at(1) == pytest.approx(
         result.speedup_at(4), abs=1.5
     )
 
 
 def test_packing_ablation_positive_delta():
-    result = run_packing_ablation(only=["libquantum", "mcf06", "namd06"],
-                                  suite_name="spec2006")
+    result = _run("packing", ["libquantum", "mcf06", "namd06"],
+                  suites=("spec2006",))
     assert result.mean_packing_factor > 1.5
     assert result.max_packing_factor >= 8
     assert result.delta_pp > 0.0
@@ -107,7 +117,7 @@ def test_packing_ablation_positive_delta():
 
 
 def test_assoc_sensitivity_victim_buffer_recovers():
-    result = run_assoc_sensitivity(only=["imagick", "omnetpp", "x264"])
+    result = _run("assoc", ["imagick", "omnetpp", "x264"])
     full = result.geomean("full (headline)")
     limited = result.geomean("4-way")
     recovered = result.geomean("4-way + 8-entry victim")
@@ -117,7 +127,7 @@ def test_assoc_sensitivity_victim_buffer_recovers():
 
 
 def test_table3_rows_and_orderings():
-    result = run_table3(only=["imagick", "omnetpp", "x264"])
+    result = _run("table3", ["imagick", "omnetpp", "x264"])
     frog = result.row("LoopFrog")
     ms = result.row("MultiScalar")
     st = result.row("STAMPede")
@@ -133,7 +143,7 @@ def test_table3_rows_and_orderings():
 
 
 def test_area_overheads_shape():
-    result = run_area_overheads(suite_name="spec2017")
+    result = _run("area", None)
     assert result.issued_increase_percent > 0
     assert result.area.new_structures_percent < 5
     # The render must not crash and must carry the headline rows.
