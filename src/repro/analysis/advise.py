@@ -497,12 +497,14 @@ def validate_advise(
     each prediction against observed squashes; then every workload with
     at least one gated loop is recompiled under ``speculate="analyze"``
     and simulated once more (uncached) to measure the squash/cycle delta
-    the gate actually buys.
+    the gate actually buys.  Every workload is side-compiled first, and
+    the always-policy runs go to the runner in one call, across
+    ``default_jobs()`` processes; the analyze reruns stay serial.
     """
     import copy
 
     from ..compiler import HintOptions
-    from ..experiments.runner import run_workload
+    from ..experiments.runner import _prefetch, default_jobs, run_workload
     from ..uarch.config import default_machine
     from ..workloads import SUITE_NAMES, suite
 
@@ -513,6 +515,7 @@ def validate_advise(
 
     report = AdviseValidationReport(suites=suite_names)
     seen: set = set()
+    compiled: list = []
     for suite_name in suite_names:
         for benchmark in suite(suite_name):
             for workload, _weight in benchmark.phases:
@@ -529,57 +532,55 @@ def validate_advise(
                 advice = advise_result(
                     side, path=workload.name, machine=machine
                 )
-                by_header = {r.header: r for r in side.hint_reports}
                 annotated = {
                     a.header: a for a in advice.loops if a.annotated
                 }
-                if not annotated:
-                    continue
-                stats = run_workload(workload, machine)
-                gated_headers: List[str] = []
-                for header, loop in annotated.items():
-                    hint = by_header[header]
-                    region = stats.regions.get(hint.region)
-                    observed = (
-                        region is not None and region.epochs_spawned > 0
-                    )
-                    gated = not loop.profitable
-                    if gated:
-                        gated_headers.append(header)
-                    report.rows.append(AdviseRow(
-                        workload=workload.name,
-                        header=header,
-                        line=loop.line,
-                        squash_risk=loop.squash_risk,
-                        gated=gated,
-                        category=loop.category,
-                        observed=observed,
-                        squashes=region.squash_conflicts if region else 0,
-                    ))
-                if gated_headers:
-                    variant = copy.copy(workload)
-                    variant.name = workload.name + ":analyze"
-                    variant._compiled = compile_frog(
-                        workload.source,
-                        CompileOptions(
-                            name=variant.name,
-                            hint_options=HintOptions(
-                                speculate="analyze",
-                                granule_bytes=granule,
-                            ),
-                        ),
-                    )
-                    gated_stats = run_workload(
-                        variant, machine, use_cache=False
-                    )
-                    report.gate_outcomes.append(GateOutcome(
-                        workload=workload.name,
-                        gated_headers=gated_headers,
-                        squashes_always=stats.squash_conflicts,
-                        squashes_analyze=gated_stats.squash_conflicts,
-                        cycles_always=stats.cycles,
-                        cycles_analyze=gated_stats.cycles,
-                    ))
+                if annotated:
+                    compiled.append((workload, side, annotated))
+    _prefetch([(w, machine) for w, _, _ in compiled], default_jobs())
+    for workload, side, annotated in compiled:
+        by_header = {r.header: r for r in side.hint_reports}
+        stats = run_workload(workload, machine)
+        gated_headers: List[str] = []
+        for header, loop in annotated.items():
+            hint = by_header[header]
+            region = stats.regions.get(hint.region)
+            observed = region is not None and region.epochs_spawned > 0
+            gated = not loop.profitable
+            if gated:
+                gated_headers.append(header)
+            report.rows.append(AdviseRow(
+                workload=workload.name,
+                header=header,
+                line=loop.line,
+                squash_risk=loop.squash_risk,
+                gated=gated,
+                category=loop.category,
+                observed=observed,
+                squashes=region.squash_conflicts if region else 0,
+            ))
+        if gated_headers:
+            variant = copy.copy(workload)
+            variant.name = workload.name + ":analyze"
+            variant._compiled = compile_frog(
+                workload.source,
+                CompileOptions(
+                    name=variant.name,
+                    hint_options=HintOptions(
+                        speculate="analyze",
+                        granule_bytes=granule,
+                    ),
+                ),
+            )
+            gated_stats = run_workload(variant, machine, use_cache=False)
+            report.gate_outcomes.append(GateOutcome(
+                workload=workload.name,
+                gated_headers=gated_headers,
+                squashes_always=stats.squash_conflicts,
+                squashes_analyze=gated_stats.squash_conflicts,
+                cycles_always=stats.cycles,
+                cycles_analyze=gated_stats.cycles,
+            ))
     return report
 
 

@@ -326,8 +326,13 @@ def validate_suites(
     machine=None,
 ) -> ValidationReport:
     """Run the workload suites and compare static verdicts with observed
-    conflict squashes (cached simulations via ``run_workload``)."""
-    from ..experiments.runner import run_workload
+    conflict squashes.
+
+    Every workload is side-compiled first; the annotated ones are then
+    simulated (cached) in one runner call, across ``default_jobs()``
+    processes, before any is read.
+    """
+    from ..experiments.runner import _prefetch, default_jobs, run_workload
     from ..uarch.config import default_machine
     from ..workloads import SUITE_NAMES, suite
 
@@ -338,6 +343,7 @@ def validate_suites(
 
     report = ValidationReport(suites=suite_names)
     seen: set = set()
+    compiled: list = []
     for suite_name in suite_names:
         for benchmark in suite(suite_name):
             for workload, _weight in benchmark.phases:
@@ -355,29 +361,29 @@ def validate_suites(
                     ),
                 )
                 annotated = [r for r in side.hint_reports if r.annotated]
-                if not annotated:
-                    continue
-                stats = run_workload(workload, machine)
-                for hint in annotated:
-                    dep = side.dependence.get(hint.header)
-                    if dep is None:
-                        continue
-                    region = stats.regions.get(hint.region)
-                    observed = (
-                        region is not None and region.epochs_spawned > 0
-                    )
-                    report.rows.append(ValidationRow(
-                        workload=workload.name,
-                        header=hint.header,
-                        line=dep.line,
-                        verdict=dep.verdict,
-                        observed=observed,
-                        squashes=region.squash_conflicts if region else 0,
-                        resolved_by=dep.resolved_by,
-                        pairs_total=dep.pairs_total,
-                        pairs_affine_uncertain=dep.pairs_affine_uncertain,
-                        pairs_abs_resolved=dep.pairs_abs_resolved,
-                    ))
+                if annotated:
+                    compiled.append((workload, side, annotated))
+    _prefetch([(w, machine) for w, _, _ in compiled], default_jobs())
+    for workload, side, annotated in compiled:
+        stats = run_workload(workload, machine)
+        for hint in annotated:
+            dep = side.dependence.get(hint.header)
+            if dep is None:
+                continue
+            region = stats.regions.get(hint.region)
+            observed = region is not None and region.epochs_spawned > 0
+            report.rows.append(ValidationRow(
+                workload=workload.name,
+                header=hint.header,
+                line=dep.line,
+                verdict=dep.verdict,
+                observed=observed,
+                squashes=region.squash_conflicts if region else 0,
+                resolved_by=dep.resolved_by,
+                pairs_total=dep.pairs_total,
+                pairs_affine_uncertain=dep.pairs_affine_uncertain,
+                pairs_abs_resolved=dep.pairs_abs_resolved,
+            ))
     return report
 
 

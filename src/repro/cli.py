@@ -23,18 +23,20 @@ Commands
                         machine-readable payload and ``--out DIR`` writes
                         per-experiment artifacts plus a manifest
     sample WORKLOAD     SimPoint-style sampled simulation of one workload
-                        (docs/sampling.md); ``--verify TOL`` also runs the
-                        full detailed simulation and fails if the sampled
-                        CPI estimate is off by more than TOL
+                        (docs/sampling.md), its windows one after another;
+                        ``--verify TOL`` also runs the full detailed
+                        simulation and fails if the sampled CPI estimate
+                        is off by more than TOL
     workloads           list available benchmarks and their phases
     results CMD         persistent result store maintenance (stats, gc)
     trace FILE          compile + simulate a Frog file with structured
                         tracing enabled and summarize the timeline; given
                         an existing ``.jsonl`` timeline, summarize it
 
-``suite``, ``exp run|all`` and ``sample`` accept ``--jobs N`` (parallel
-simulation across N processes; default: all cores), ``--no-store`` (skip
-the persistent result cache) and ``--store-dir DIR`` (cache location,
+``suite``, ``exp run|all``, ``lint`` and ``advise`` accept ``--jobs N``
+(simulate cells across N processes, one pool per invocation; default:
+all cores).  They and ``sample`` accept ``--no-store`` (skip the
+persistent result cache) and ``--store-dir DIR`` (cache location,
 default ``.repro-results/``).  ``suite`` additionally accepts
 ``--sampled`` to estimate every phase with sampled simulation instead of
 running it in full.
@@ -202,8 +204,8 @@ def _apply_runner_options(args: argparse.Namespace) -> None:
     """Translate --jobs/--no-store/--store-dir into runner/store defaults.
 
     Setting module-wide defaults (rather than threading parameters) means
-    the experiment harnesses — which call ``run_suite`` internally —
-    transparently pick up the requested parallelism and store.
+    everything that reaches the runner — ``run_all``, ``run_suite``, the
+    lint/advise validation — picks up the requested parallelism and store.
     """
     from . import experiments
     from .results import ResultStore, set_default_store
@@ -218,7 +220,8 @@ def _apply_runner_options(args: argparse.Namespace) -> None:
     elif getattr(args, "store_dir", None):
         _check_store_dir(args.store_dir)
         set_default_store(ResultStore(args.store_dir))
-    experiments.configure(jobs=jobs or os.cpu_count())
+    if hasattr(args, "jobs"):
+        experiments.configure(jobs=jobs or os.cpu_count())
 
 
 def _parse_only(text: Optional[str],
@@ -574,13 +577,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-cycles", type=int, default=50_000_000)
     p.set_defaults(func=cmd_run)
 
-    def add_runner_options(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--jobs", type=int, default=None, metavar="N",
-                       help="simulate across N processes (default: all cores)")
+    def add_store_options(p: argparse.ArgumentParser) -> None:
         p.add_argument("--no-store", action="store_true",
                        help="do not read or write the persistent result store")
         p.add_argument("--store-dir", metavar="DIR",
                        help="result store location (default: .repro-results)")
+
+    def add_runner_options(p: argparse.ArgumentParser) -> None:
+        p.add_argument("--jobs", type=int, default=None, metavar="N",
+                       help="simulate across N processes (default: all cores)")
+        add_store_options(p)
 
     p = sub.add_parser(
         "lint",
@@ -653,7 +659,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--verify", type=float, default=None, metavar="TOL",
                    help="also run the full detailed simulation and fail if "
                         "the relative CPI error exceeds TOL (e.g. 0.05)")
-    add_runner_options(p)
+    add_store_options(p)
     p.set_defaults(func=cmd_sample)
 
     p = sub.add_parser(

@@ -3,11 +3,13 @@
 Experiment modules register their :class:`~repro.experiments.spec.ExperimentSpec`
 at import time; the CLI (``repro exp list|run|all``),
 ``tools/generate_experiments_md.py``, the benchmark harness and the
-tests all resolve experiments here by name.  Running several
-experiments through one :func:`run_all` invocation shares the runner's
-in-process cell cache across them, so each distinct (workload, config)
-simulation happens at most once — the per-run :class:`CellCounters`
-deltas prove it.
+tests all resolve experiments here by name.  :func:`run_all` runs the
+selected experiments as one cell set: it plans every spec's grid points,
+counts their cells, has the runner simulate every missing cell at once
+(one process pool under ``--jobs N``), then assembles and derives each
+experiment from the warm cache.  Each distinct (workload, config)
+simulation happens at most once per invocation — the per-run
+:class:`CellCounters` deltas prove it.
 """
 
 from __future__ import annotations
@@ -19,11 +21,14 @@ from typing import Any, Dict, Iterable, List, Optional, Union
 
 from ..errors import ReproError
 from ..obs.tracing import span as _span
+from . import runner as _runner
 from .spec import (
     CellCounters,
     ExperimentSpec,
-    execute_spec,
+    assemble_sweep,
+    count_cells,
     global_counters,
+    plan_spec,
 )
 
 _SPECS: Dict[str, ExperimentSpec] = {}
@@ -104,43 +109,52 @@ def run_experiment(
 
     ``name`` is a registered name or a spec object; to sweep narrower
     axes, pass ``dataclasses.replace(registry.get(name), suites=...,
-    variants=...)``.  ``only``/``jobs``/``sampling`` thread through to
-    the runner.
+    variants=...)``.  ``only``/``jobs``/``sampling`` are as for
+    :func:`run_all`.
     """
-    spec = get(name) if isinstance(name, str) else name
-    counters = CellCounters()
-    with _span(
-        "exp.run",
-        experiment=spec.name,
-        suites=",".join(spec.suites),
-        variants=len(spec.variants),
-        sampled=bool(sampling),
-    ):
-        sweep = execute_spec(
-            spec, only=only, jobs=jobs, sampling=sampling,
-            extra_counters=(counters,),
-        )
-        result = spec.derive(sweep)
-    counters.experiments += 1
-    global_counters().experiments += 1
-    return ExperimentRun(
-        spec=spec, result=result, counters=counters, sampled=bool(sampling)
-    )
+    return run_all([name], only=only, jobs=jobs, sampling=sampling)[0]
 
 
 def run_all(
-    names_to_run: Optional[Iterable[str]] = None,
+    names_to_run: Optional[Iterable[Union[str, ExperimentSpec]]] = None,
     only: Optional[List[str]] = None,
     jobs: Optional[int] = None,
     sampling: Any = None,
 ) -> List[ExperimentRun]:
-    """Run several (default: all) experiments in one invocation, sharing
-    the in-process cell cache across them."""
-    return [
-        run_experiment(name, only=only, jobs=jobs, sampling=sampling)
+    """Run several (default: all) experiments as one cell set.
+
+    Plans every spec and counts its cells in plan order, then simulates
+    every missing cell in one :func:`~repro.experiments.runner._prefetch`
+    call, then assembles and derives each experiment.  ``only`` restricts
+    benchmarks by name; ``jobs``/``sampling`` go to the runner.
+    """
+    specs = [
+        get(name) if isinstance(name, str) else name
         for name in (list(names_to_run) if names_to_run is not None
                      else names())
     ]
+    plans = [(spec, plan_spec(spec, only), CellCounters()) for spec in specs]
+    needed: Dict[str, Any] = {}
+    for _spec, points, counters in plans:
+        count_cells(points, sampling, needed, (global_counters(), counters))
+    _runner._prefetch(needed.values(), _runner._resolve_jobs(jobs), sampling)
+    runs = []
+    for spec, points, counters in plans:
+        with _span(
+            "exp.run",
+            experiment=spec.name,
+            suites=",".join(spec.suites),
+            variants=len(spec.variants),
+            sampled=bool(sampling),
+        ):
+            result = spec.derive(assemble_sweep(spec, points, only, sampling))
+        counters.experiments += 1
+        global_counters().experiments += 1
+        runs.append(ExperimentRun(
+            spec=spec, result=result, counters=counters,
+            sampled=bool(sampling),
+        ))
+    return runs
 
 
 # ---------------------------------------------------------------------------

@@ -7,30 +7,25 @@ deselection (section 5.1) is modelled by falling back to the baseline
 cycle count when speculation lost time: real hardware would stop honouring
 the hints of an unprofitable loop.
 
-Results are cached at two levels, both keyed by content digests of the
-(program, initial input, machine config) triple — see
-:mod:`repro.results.digest`:
+Each simulation is a *cell*: one (workload, machine config) pair, run in
+full or, with ``sampling``, estimated by SimPoint-style sampled
+simulation (docs/sampling.md; ``True`` selects the default
+:class:`~repro.sampling.runner.SamplingConfig`).  This module is the only
+place cells are cached, read through the persistent
+:class:`~repro.results.ResultStore` and simulated.  A cell's key is its
+store digest (see :mod:`repro.results.digest`): ``run_digest`` for an
+exact cell, ``sampled_run_digest`` for a sampled one, so one in-process
+cache serves both and an estimate can never shadow an exact result.
 
-* an in-process dict, so configuration sweeps that revisit the same
-  (workload, config) pair never resimulate within a run, and
-* the persistent :class:`~repro.results.ResultStore`, so repeat
-  invocations of the CLI skip simulation entirely.
-
-``run_suite``/``run_benchmark`` accept a ``jobs`` parameter: with
-``jobs > 1`` the distinct uncached simulations are collected, deduped and
-fanned out across a :class:`~concurrent.futures.ProcessPoolExecutor`
-before results are assembled.  ``jobs <= 1`` keeps the exact serial
-in-process path.  Both paths produce bit-identical statistics: the worker
-runs the same :class:`~repro.uarch.core.Engine` on the same inputs.
-
-They also accept a ``sampling`` parameter selecting SimPoint-style
-sampled simulation (docs/sampling.md): ``True`` for the default
-:class:`~repro.sampling.runner.SamplingConfig`, or a config instance.
-Sampled estimates live in a *separate* digest dimension — they are cached
-and stored under :func:`~repro.results.digest.sampled_run_digest`, so
-they can never be confused with (or shadow) exact results.  With
-``jobs > 1`` the sampled path parallelises each run's detailed windows
-instead of prefetching whole simulations.
+:func:`_prefetch` is the one read-through.  With ``jobs <= 1`` it walks
+the cells in order: key, cache, store, simulate, fill.  With ``jobs > 1``
+it dedups the cells, reads the store, and sends the misses to one
+:class:`~concurrent.futures.ProcessPoolExecutor`, whose worker entry
+:func:`_run_job` runs a full engine run or a whole sampled estimate.  Both
+paths give bit-identical results.  ``run_suite`` and
+``registry.run_all`` call it once over every cell they need, then
+assemble from the warm cache; ``run_benchmark`` and ``run_workload`` only
+read.
 """
 
 from __future__ import annotations
@@ -38,10 +33,10 @@ from __future__ import annotations
 import os
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 from ..analysis.speedup import BenchmarkResult, weighted_time
-from ..results.digest import machine_digest, run_digest, workload_digest
+from ..results.digest import machine_digest, run_digest, sampled_run_digest
 from ..results.store import get_default_store
 from ..uarch.config import MachineConfig, baseline_machine, default_machine
 from ..uarch.core import Engine
@@ -50,14 +45,13 @@ from ..workloads.base import Benchmark, Workload
 from ..workloads.suites import suite
 from .metrics import suite_geomean  # noqa: F401  (historical home; re-exported)
 
-# In-process result cache.  Keyed by content digests — NOT by workload
-# name — so two workloads that happen to share a name but differ in
-# program or input can never collide, and editing a kernel's source
-# invalidates its entry automatically.
-_CacheKey = Tuple[str, str]
-_CACHE: Dict[_CacheKey, SimStats] = {}
+# In-process result cache, keyed by store digest: a SimStats for an exact
+# cell, a SampledRunResult for a sampled one.  Digests cover program,
+# input and config, so two workloads that share a name never collide and
+# editing a kernel's source invalidates its entry automatically.
+_CACHE: Dict[str, Any] = {}
 
-# Default parallelism for run_suite/run_benchmark when the caller passes
+# Default parallelism for run_suite/run_all when the caller passes
 # ``jobs=None``.  Starts serial so library users (and the test suite) get
 # the exact historical behaviour; the CLI raises it via ``configure``.
 _default_jobs = 1
@@ -82,26 +76,6 @@ def _resolve_jobs(jobs: Optional[int]) -> int:
     return jobs
 
 
-def _cache_key(workload: Workload, machine: MachineConfig) -> _CacheKey:
-    return (workload_digest(workload), machine_digest(machine))
-
-
-def _simulate(workload: Workload, machine: MachineConfig) -> SimStats:
-    """One simulation in this process, bypassing both cache layers."""
-    memory, regs = workload.fresh_input()
-    engine = Engine(machine, workload.program, memory, regs)
-    return engine.run(max_cycles=workload.max_cycles)
-
-
-def _fill(store, workload: Workload, machine: MachineConfig,
-          key: _CacheKey, stats: SimStats) -> None:
-    """Record a fresh simulation in both cache layers."""
-    _CACHE[key] = stats
-    if store is not None:
-        store.save(run_digest(workload, machine), stats,
-                   workload=workload.name, machine=key[1][:12])
-
-
 def _sampling_config(sampling):
     """Normalise the ``sampling`` parameter: None/False -> exact mode,
     True -> default config, config instance -> itself."""
@@ -114,112 +88,153 @@ def _sampling_config(sampling):
     return sampling
 
 
+def cell_key(workload: Workload, machine: MachineConfig, sampling=None) -> str:
+    """The digest one cell is cached and stored under."""
+    config = _sampling_config(sampling)
+    if config is None:
+        return run_digest(workload, machine)
+    return sampled_run_digest(workload, machine, config)
+
+
+def is_cached(key: str) -> bool:
+    """Whether the in-process cache holds the cell keyed ``key``."""
+    return key in _CACHE
+
+
+def clear_cache() -> None:
+    _CACHE.clear()
+
+
+def _payload(workload: Workload, machine: MachineConfig, config) -> tuple:
+    """A cell's picklable job.  It leaves out the :class:`Workload`, whose
+    ``setup`` is usually a closure: the parent materializes
+    ``fresh_input()`` and ships plain state."""
+    memory, regs = workload.fresh_input()
+    return (workload.program, memory, regs, machine, workload.max_cycles,
+            config)
+
+
+def _run_job(payload):
+    """One cell, in this process or a worker: a full engine run
+    (:class:`SimStats`) or a whole sampled estimate
+    (:class:`~repro.sampling.extrapolate.SampledRunResult`)."""
+    program, memory, regs, machine, max_cycles, config = payload
+    if config is None:
+        return Engine(machine, program, memory, regs).run(max_cycles=max_cycles)
+    from ..sampling.runner import run_program_sampled
+
+    return run_program_sampled(
+        program, memory, regs, machine, config, max_cycles=max_cycles
+    )
+
+
+def _load(store, key: str, config):
+    stats = store.load(key)
+    if stats is None or config is None:
+        return stats
+    from ..sampling.runner import _from_store
+
+    return _from_store(stats, store.load_extra(key) or {})
+
+
+def _save(store, key: str, workload: Workload, machine: MachineConfig,
+          result) -> None:
+    """Record a fresh result in the cache and the store."""
+    _CACHE[key] = result
+    if store is None:
+        return
+    label = {"workload": workload.name, "machine": machine_digest(machine)[:12]}
+    if isinstance(result, SimStats):
+        store.save(key, result, **label)
+    else:
+        from ..sampling.runner import _extra_payload
+
+        store.save(key, result.stats, extra=_extra_payload(result), **label)
+
+
+def _prefetch(
+    pairs: Iterable[Tuple[Workload, MachineConfig]],
+    jobs: int,
+    sampling=None,
+) -> None:
+    """Ensure every (workload, machine) cell is cached.
+
+    With ``jobs <= 1`` each cell is keyed, looked up and simulated before
+    the next is keyed: a workload digest encodes the whole memory image,
+    so keying every cell first would hold more memory at once.  With
+    ``jobs > 1`` the cells are deduped, the store is read, and the misses
+    go to one process pool; a lone miss runs here.
+    """
+    config = _sampling_config(sampling)
+    store = get_default_store()
+    pending: Dict[str, Tuple[Workload, MachineConfig]] = {}
+    for workload, machine in pairs:
+        key = cell_key(workload, machine, config)
+        if key in _CACHE or key in pending:
+            continue
+        result = _load(store, key, config) if store is not None else None
+        if result is not None:
+            _CACHE[key] = result
+        elif jobs <= 1:
+            _save(store, key, workload, machine,
+                  _run_job(_payload(workload, machine, config)))
+        else:
+            pending[key] = (workload, machine)
+    if len(pending) == 1:
+        [(key, (workload, machine))] = pending.items()
+        _save(store, key, workload, machine,
+              _run_job(_payload(workload, machine, config)))
+    elif pending:
+        with ProcessPoolExecutor(max_workers=min(jobs, len(pending))) as pool:
+            futures = {
+                pool.submit(_run_job, _payload(workload, machine, config)): key
+                for key, (workload, machine) in pending.items()
+            }
+            for future in as_completed(futures):
+                key = futures[future]
+                _save(store, key, *pending[key], future.result())
+
+
+def _cell(workload: Workload, machine: MachineConfig, use_cache: bool,
+          sampling):
+    """One cell's full result, read through the cache and the store
+    (``use_cache=False`` simulates it here, touching neither)."""
+    config = _sampling_config(sampling)
+    if not use_cache:
+        return _run_job(_payload(workload, machine, config))
+    key = cell_key(workload, machine, config)
+    if key not in _CACHE:
+        _prefetch([(workload, machine)], 1, config)
+    return _CACHE[key]
+
+
 def run_workload(
     workload: Workload,
     machine: MachineConfig,
     use_cache: bool = True,
     sampling=None,
-    jobs: Optional[int] = None,
 ) -> SimStats:
     """Simulate one workload on one machine configuration (cached).
 
-    With ``use_cache=True`` the in-process cache is consulted first, then
-    the persistent result store; a fresh simulation populates both.
-    ``use_cache=False`` bypasses both layers entirely.  ``sampling``
-    selects the sampled estimator instead of an exact run (its cache and
-    store entries use the disjoint sampled digest); ``jobs`` only
-    applies there, fanning the detailed windows out across processes.
+    ``sampling`` selects the sampled estimator instead of an exact run
+    and returns the estimate's statistics.
     """
-    config = _sampling_config(sampling)
-    if config is not None:
-        from ..sampling.runner import run_workload_sampled
-
-        return run_workload_sampled(
-            workload, machine, config, use_cache=use_cache, jobs=jobs
-        ).stats
-    if not use_cache:
-        return _simulate(workload, machine)
-    key = _cache_key(workload, machine)
-    stats = _CACHE.get(key)
-    if stats is not None:
-        return stats
-    store = get_default_store()
-    if store is not None:
-        stats = store.load(run_digest(workload, machine))
-        if stats is not None:
-            _CACHE[key] = stats
-            return stats
-    stats = _simulate(workload, machine)
-    _fill(store, workload, machine, key, stats)
-    return stats
+    result = _cell(workload, machine, use_cache, sampling)
+    return result if isinstance(result, SimStats) else result.stats
 
 
-# -- parallel scheduler -------------------------------------------------------
-
-def _run_job(payload) -> SimStats:
-    """Worker-side entry point: one simulation from a picklable payload.
-
-    The payload deliberately excludes the :class:`Workload` object —
-    its ``setup`` member is usually a closure, which does not pickle.
-    The parent materializes ``fresh_input()`` and ships plain state.
-    """
-    program, memory, regs, machine, max_cycles = payload
-    engine = Engine(machine, program, memory, regs)
-    return engine.run(max_cycles=max_cycles)
-
-
-def _prefetch(
-    pairs: Iterable[Tuple[Workload, MachineConfig]], jobs: int
-) -> None:
-    """Ensure every (workload, config) pair is cached, simulating misses
-    in parallel.
-
-    Pairs are deduped by content digest, then filtered against the
-    in-process cache and the persistent store; only true misses are
-    dispatched to worker processes.  Results land in both cache layers,
-    so the subsequent serial assembly pass is all hits.
-    """
-    store = get_default_store()
-    pending: Dict[_CacheKey, Tuple[Workload, MachineConfig]] = {}
-    for workload, machine in pairs:
-        key = _cache_key(workload, machine)
-        if key in _CACHE or key in pending:
-            continue
-        if store is not None:
-            stats = store.load(run_digest(workload, machine))
-            if stats is not None:
-                _CACHE[key] = stats
-                continue
-        pending[key] = (workload, machine)
-    if jobs <= 1 or len(pending) <= 1:
-        for key, (workload, machine) in pending.items():
-            _fill(store, workload, machine, key, _simulate(workload, machine))
-        return
-    payloads = {}
-    for key, (workload, machine) in pending.items():
-        memory, regs = workload.fresh_input()
-        payloads[key] = (
-            workload.program, memory, regs, machine, workload.max_cycles,
-        )
-    with ProcessPoolExecutor(max_workers=min(jobs, len(pending))) as pool:
-        futures = {
-            pool.submit(_run_job, payload): key
-            for key, payload in payloads.items()
-        }
-        for future in as_completed(futures):
-            key = futures[future]
-            _fill(store, *pending[key], key, future.result())
-
-
-def _benchmark_pairs(
+def cell_pairs(
     benchmarks: Iterable[Benchmark],
     machine: MachineConfig,
-    baseline: MachineConfig,
+    baseline: Optional[MachineConfig] = None,
 ) -> List[Tuple[Workload, MachineConfig]]:
+    """The cells of ``benchmarks`` in run order: each phase on
+    ``baseline`` (when given), then on ``machine``."""
     pairs = []
     for benchmark in benchmarks:
         for workload, _weight in benchmark.phases:
-            pairs.append((workload, baseline))
+            if baseline is not None:
+                pairs.append((workload, baseline))
             pairs.append((workload, machine))
     return pairs
 
@@ -317,25 +332,20 @@ def run_benchmark(
     baseline: Optional[MachineConfig] = None,
     dynamic_deselection: bool = True,
     use_cache: bool = True,
-    jobs: Optional[int] = None,
     sampling=None,
 ) -> BenchmarkRun:
-    """Run one benchmark under both configurations."""
+    """One benchmark's runs under both configurations, read through the
+    cache cell by cell (``run_suite`` and ``run_all`` fill it first)."""
     machine = machine or default_machine()
     baseline = baseline or baseline_machine()
-    jobs = _resolve_jobs(jobs)
-    sampling = _sampling_config(sampling)
-    if sampling is None and use_cache and jobs > 1:
-        _prefetch(_benchmark_pairs([benchmark], machine, baseline), jobs)
-    phases = []
-    for workload, weight in benchmark.phases:
-        base_stats = run_workload(
-            workload, baseline, use_cache, sampling=sampling, jobs=jobs
+    phases = [
+        PhaseRun(
+            workload.name, weight,
+            run_workload(workload, baseline, use_cache, sampling),
+            run_workload(workload, machine, use_cache, sampling),
         )
-        frog_stats = run_workload(
-            workload, machine, use_cache, sampling=sampling, jobs=jobs
-        )
-        phases.append(PhaseRun(workload.name, weight, base_stats, frog_stats))
+        for workload, weight in benchmark.phases
+    ]
     run = BenchmarkRun(benchmark, phases)
     if dynamic_deselection and run.raw_loopfrog_cycles > run.baseline_cycles:
         run.deselected = True
@@ -355,59 +365,14 @@ def run_suite(
     """Run a whole suite; ``only`` restricts to the named benchmarks."""
     machine = machine or default_machine()
     baseline = baseline or baseline_machine()
-    jobs = _resolve_jobs(jobs)
-    sampling = _sampling_config(sampling)
     benchmarks = [
         b for b in suite(suite_name) if only is None or b.name in only
     ]
-    if sampling is None and use_cache and jobs > 1:
-        _prefetch(_benchmark_pairs(benchmarks, machine, baseline), jobs)
+    if use_cache:
+        _prefetch(cell_pairs(benchmarks, machine, baseline),
+                  _resolve_jobs(jobs), sampling)
     return [
-        run_benchmark(
-            benchmark, machine, baseline, dynamic_deselection, use_cache,
-            # Exact mode: everything uncached was just prefetched, keep
-            # assembly serial.  Sampled mode: parallelism lives inside
-            # each run's window fan-out instead.
-            jobs=1 if sampling is None else jobs,
-            sampling=sampling,
-        )
+        run_benchmark(benchmark, machine, baseline, dynamic_deselection,
+                      use_cache, sampling)
         for benchmark in benchmarks
     ]
-
-
-def clear_cache() -> None:
-    _CACHE.clear()
-
-
-# -- cell identity (the experiment sweep engine's accounting) -----------------
-
-#: Public alias: normalise a ``sampling`` parameter exactly like the run
-#: functions do (None/False -> exact, True -> default config, config -> it).
-resolve_sampling = _sampling_config
-
-
-def cell_key(workload: Workload, machine: MachineConfig, sampling=None):
-    """Hashable identity of one simulation cell.
-
-    Exact and sampled runs live in disjoint key spaces, mirroring their
-    disjoint cache/store digests — a sampled estimate never counts as a
-    hit for an exact cell or vice versa.
-    """
-    config = _sampling_config(sampling)
-    if config is None:
-        return ("exact",) + _cache_key(workload, machine)
-    from ..results.digest import sampled_run_digest
-
-    return ("sampled", sampled_run_digest(workload, machine, config))
-
-
-def cell_cached(workload: Workload, machine: MachineConfig, sampling=None) -> bool:
-    """Whether the cell is already in the in-process cache (it would not
-    simulate *or* touch the persistent store if requested now)."""
-    config = _sampling_config(sampling)
-    if config is None:
-        return _cache_key(workload, machine) in _CACHE
-    from ..results.digest import sampled_run_digest
-    from ..sampling.runner import _CACHE as sampled_cache
-
-    return sampled_run_digest(workload, machine, config) in sampled_cache

@@ -4,21 +4,25 @@ Every paper figure/table is described by an :class:`ExperimentSpec`: a
 grid of **axes** (workload suites x machine-config :class:`Variant`\\ s),
 a ``derive`` function that turns the swept cells into the paper-specific
 result object (which carries the render template), and an optional
-``to_json`` projection for machine-readable artifacts.  The generic
-engine (:func:`execute_spec`) walks the grid through the existing
-``run_suite``/``run_workload``/``ResultStore``/sampling stack, so every
-spec automatically composes with ``--jobs`` parallelism, ``--sampled``
-estimation and the persistent result store.
+``to_json`` projection for machine-readable artifacts.  The sweep engine
+works in three steps, which :func:`~repro.experiments.registry.run_all`
+drives for every selected spec at once: :func:`plan_spec` lists each
+grid point with its cells, :func:`count_cells` does the cell accounting,
+and, once the runner has simulated every cell of every spec through its
+one cache, store and process pool, :func:`assemble_sweep` builds the
+:class:`Sweep` from the warm cache.  So every spec composes with
+``--jobs`` parallelism, ``--sampled`` estimation and the persistent
+result store.
 
 **Cell accounting.**  A *cell* is one distinct (workload, machine-config)
-simulation, identified by the same content digests the runner caches
-under.  Before executing each spec the engine counts how many of its
-cells are already in the in-process cache — populated by *earlier
-experiments in the same invocation* — versus how many still need to
-leave it (fresh simulation or a persistent-store load).  The counts feed
-the ``exp.*`` metrics (docs/observability.md), which is how
-``repro exp all`` proves it simulates each distinct cell at most once
-across all fourteen experiments.
+simulation, identified by the store digest the runner caches it under.
+Each grid point counts its distinct cells: *cached* when the in-process
+cache already held the cell, or an earlier grid point of the same
+invocation needs it; *simulated* otherwise (a fresh simulation or a
+persistent-store load).  The counts feed the ``exp.*`` metrics
+(docs/observability.md), which is how ``repro exp all`` proves it
+simulates each distinct cell at most once across all fourteen
+experiments.
 
 Specs are registered in :mod:`repro.experiments.registry`; adding a new
 figure is ~30 lines (docs/experiments.md has a worked example).
@@ -31,6 +35,7 @@ from typing import (
     Any,
     Callable,
     Dict,
+    Iterable,
     List,
     Mapping,
     Optional,
@@ -38,13 +43,18 @@ from typing import (
 )
 
 from ..obs import metrics as _metrics
-from ..obs.tracing import span as _span
 from ..uarch.config import MachineConfig, baseline_machine, default_machine
 from ..uarch.statistics import SimStats
 from ..workloads.base import Benchmark
 from ..workloads.suites import suite
-from . import runner as _runner
-from .runner import BenchmarkRun, run_suite, run_workload
+from .runner import (
+    BenchmarkRun,
+    cell_key,
+    cell_pairs,
+    is_cached,
+    run_benchmark,
+    run_workload,
+)
 
 MachineFactory = Callable[[], MachineConfig]
 
@@ -66,7 +76,7 @@ class Variant:
     (:func:`default_machine` / :func:`baseline_machine`).
 
     ``paired=True`` (the norm) runs every workload under both the
-    baseline and the variant machine via ``run_suite``, producing
+    baseline and the variant machine, producing
     :class:`BenchmarkRun` pairs.  ``paired=False`` is the single-config
     sweep mode (figure 1): each workload runs once on the variant
     machine and the cell holds raw per-phase :class:`SimStats`.
@@ -150,12 +160,14 @@ class PhaseStats:
 
 @dataclass
 class Cell:
-    """The executed content of one (suite, variant) grid point."""
+    """One (suite, variant) grid point: planned with its machines and
+    benchmarks, then filled with what was executed."""
 
     suite: str
     variant: Variant
     machine: MachineConfig
     baseline: Optional[MachineConfig] = None
+    benchmarks: List[Benchmark] = field(default_factory=list)
     runs: Optional[List[BenchmarkRun]] = None      # paired mode
     phases: Optional[List[PhaseStats]] = None      # single-config mode
 
@@ -259,38 +271,13 @@ def reset_counters() -> None:
 # The sweep engine
 # ---------------------------------------------------------------------------
 
-def _cell_pairs(
-    benchmarks: List[Benchmark],
-    variant: Variant,
-    machine: MachineConfig,
-    baseline: Optional[MachineConfig],
-) -> List[Tuple[Any, MachineConfig]]:
-    pairs: List[Tuple[Any, MachineConfig]] = []
-    for benchmark in benchmarks:
-        for workload, _weight in benchmark.phases:
-            if variant.paired and baseline is not None:
-                pairs.append((workload, baseline))
-            pairs.append((workload, machine))
-    return pairs
-
-
-def execute_spec(
-    spec: ExperimentSpec,
-    only: Optional[List[str]] = None,
-    jobs: Optional[int] = None,
-    sampling: Any = None,
-    extra_counters: Tuple[CellCounters, ...] = (),
-) -> Sweep:
-    """Run every (suite, variant) cell of ``spec`` and return the sweep.
-
-    ``only`` restricts benchmarks by name; ``jobs``/``sampling`` thread
-    straight through to the runner.  Cell accounting updates the global
-    counters plus any ``extra_counters`` (the registry passes a per-run
-    instance so each :class:`ExperimentRun` carries its own delta).
-    """
-    sweep = Sweep(spec, only)
-    sampling_cfg = _runner.resolve_sampling(sampling)
-    counters = (_GLOBAL_COUNTERS,) + tuple(extra_counters)
+def plan_spec(
+    spec: ExperimentSpec, only: Optional[List[str]] = None
+) -> List[Cell]:
+    """Every grid point of ``spec``, variants outer and suites inner: the
+    order its cells are counted and simulated in.  ``only`` restricts
+    benchmarks by name."""
+    points = []
     for variant in spec.variants:
         machine = variant.build_machine()
         baseline = variant.build_baseline() if variant.paired else None
@@ -299,53 +286,66 @@ def execute_spec(
                 b for b in suite(suite_name)
                 if only is None or b.name in only
             ]
-            seen = set()
-            for workload, m in _cell_pairs(
-                benchmarks, variant, machine, baseline
-            ):
-                key = _runner.cell_key(workload, m, sampling_cfg)
-                if key in seen:
-                    continue
-                seen.add(key)
-                hit = _runner.cell_cached(workload, m, sampling_cfg)
-                for counter in counters:
-                    counter.observe(hit)
-            with _span(
-                "exp.cell",
-                experiment=spec.name,
-                suite=suite_name,
-                variant=variant.label,
-            ):
-                if variant.paired:
-                    runs = run_suite(
-                        suite_name,
-                        machine,
-                        baseline,
-                        dynamic_deselection=variant.dynamic_deselection,
-                        only=only,
-                        jobs=jobs,
-                        sampling=sampling_cfg,
-                    )
-                    cell = Cell(
-                        suite_name, variant, machine=machine,
-                        baseline=baseline, runs=runs,
-                    )
-                else:
-                    phases = [
-                        PhaseStats(
-                            benchmark.name, workload.name, weight,
-                            run_workload(
-                                workload, machine,
-                                sampling=sampling_cfg, jobs=jobs,
-                            ),
-                        )
-                        for benchmark in benchmarks
-                        for workload, weight in benchmark.phases
-                    ]
-                    cell = Cell(
-                        suite_name, variant, machine=machine, phases=phases
-                    )
-            sweep.add(cell)
+            points.append(
+                Cell(suite_name, variant, machine, baseline, benchmarks)
+            )
+    return points
+
+
+def count_cells(
+    points: Iterable[Cell],
+    sampling: Any,
+    needed: Dict[str, Tuple[Any, MachineConfig]],
+    counters: Tuple[CellCounters, ...],
+) -> None:
+    """Observe each grid point's distinct cells in ``counters``.
+
+    ``needed`` maps the key of every cell the earlier grid points of this
+    invocation ask for to its (workload, machine) pair, in order of first
+    need; it grows by this call's cells.
+    """
+    for point in points:
+        cells: Dict[str, Tuple[Any, MachineConfig]] = {}
+        for workload, machine in cell_pairs(
+            point.benchmarks, point.machine, point.baseline
+        ):
+            cells.setdefault(cell_key(workload, machine, sampling),
+                             (workload, machine))
+        for key, pair in cells.items():
+            hit = key in needed or is_cached(key)
+            needed.setdefault(key, pair)
+            for counter in counters:
+                counter.observe(hit)
+
+
+def assemble_sweep(
+    spec: ExperimentSpec,
+    points: Iterable[Cell],
+    only: Optional[List[str]] = None,
+    sampling: Any = None,
+) -> Sweep:
+    """Fill the planned grid points from the runner's (by now warm)
+    cache and return them as the executed sweep."""
+    sweep = Sweep(spec, only)
+    for point in points:
+        if point.variant.paired:
+            point.runs = [
+                run_benchmark(
+                    benchmark, point.machine, point.baseline,
+                    point.variant.dynamic_deselection, sampling=sampling,
+                )
+                for benchmark in point.benchmarks
+            ]
+        else:
+            point.phases = [
+                PhaseStats(
+                    benchmark.name, workload.name, weight,
+                    run_workload(workload, point.machine, sampling=sampling),
+                )
+                for benchmark in point.benchmarks
+                for workload, weight in benchmark.phases
+            ]
+        sweep.add(point)
     return sweep
 
 
@@ -388,8 +388,8 @@ _metrics.register(
         unit="cells", source="cells_total"),
     _metrics.MetricSpec(
         "exp.cells_cached", _metrics.COUNTER, "exp",
-        "Cells already in the in-process cache when a spec needed them "
-        "(cross-experiment sharing within one invocation)",
+        "Cells the in-process cache held, or an earlier grid point of the "
+        "invocation needs (cross-experiment sharing within one invocation)",
         unit="cells", source="cells_cached"),
     _metrics.MetricSpec(
         "exp.cells_simulated", _metrics.COUNTER, "exp",

@@ -12,22 +12,22 @@ The pipeline (docs/sampling.md) for one (program, machine) pair:
    real preceding work before measurement begins — plus bounded
    functional warmup history (recent data lines, branch outcomes).
 4. **Windows**: the detailed :class:`~repro.uarch.core.Engine` replays
-   each window from its checkpoint via :meth:`Engine.run_window`;
-   windows are independent, so with ``jobs > 1`` they fan out across a
-   :class:`~concurrent.futures.ProcessPoolExecutor` exactly like the
-   exact runner's scheduler.
+   each window from its checkpoint via :meth:`Engine.run_window`, one
+   after another.
 5. **Extrapolate**: weighted CPI combination with an error bound.
 
-Sampled estimates are cached in the persistent result store under
-:func:`~repro.results.digest.sampled_run_digest` — a digest dimension
-disjoint from exact results by construction, so an estimate can never
-shadow a detailed simulation (or vice versa).
+:func:`run_program_sampled` is the whole method for one program.  Caching
+and fan-out belong to :mod:`repro.experiments.runner`, which treats a
+sampled estimate as one cell: keyed by
+:func:`~repro.results.digest.sampled_run_digest` (a digest dimension
+disjoint from exact results, so an estimate can never shadow a detailed
+simulation), read through the result store with :func:`_from_store`,
+saved with :func:`_extra_payload`, and sent whole to its process pool.
 """
 
 from __future__ import annotations
 
 import time
-from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
@@ -100,21 +100,19 @@ def _window_plan(
     return plan
 
 
-def _run_window_job(payload) -> WindowMeasurement:
-    """Worker-side entry point: one detailed window from a checkpoint.
-
-    The payload is plain picklable state (the parallel path ships it to a
-    worker process; the serial path calls this directly).
-    """
-    (machine, program, memory, regs, pc, warmup_state,
-     interval_index, weight, warmup_instructions, n_instructions,
-     max_cycles) = payload
+def _run_window(machine, program, checkpoints, entry, config,
+                max_cycles: int) -> WindowMeasurement:
+    """One detailed window of the plan, replayed from its checkpoint."""
+    (interval_index, weight, window_start,
+     warmup_instructions, n_instructions) = entry
+    checkpoint: Checkpoint = checkpoints[window_start]
+    warmup_state = checkpoint.warmup if config.functional_warmup > 0 else None
     # With a recorded warmup the caches are reconstructed from last-touch
     # order (apply_warmup); the constructor's whole-working-set warming
     # models program entry and would leave mid-program windows too warm.
     engine = Engine(
-        machine, program, memory, regs,
-        warm_caches=warmup_state is None, initial_pc=pc,
+        machine, program, checkpoint.engine_memory(), checkpoint.regs,
+        warm_caches=warmup_state is None, initial_pc=checkpoint.pc,
     )
     if warmup_state is not None:
         engine.apply_warmup(warmup_state)
@@ -140,13 +138,11 @@ def run_program_sampled(
     machine: Optional[MachineConfig] = None,
     config: Optional[SamplingConfig] = None,
     max_cycles: int = 50_000_000,
-    jobs: int = 1,
 ) -> SampledRunResult:
     """Sampled-simulate one program; returns the extrapolated estimate.
 
     ``memory``/``initial_regs`` are the program-entry state (they are
-    copied per pass, never mutated).  ``jobs > 1`` parallelises the
-    detailed windows.
+    copied per pass, never mutated).
     """
     machine = machine or default_machine()
     config = config or SamplingConfig()
@@ -166,7 +162,7 @@ def run_program_sampled(
         # docs/sampling.md): one detailed run over the whole program,
         # weight 1.  The estimate IS the detailed result — every counter
         # exact, error bound zero.
-        with _span("sample.windows", windows=1, jobs=1):
+        with _span("sample.windows", windows=1):
             engine = Engine(machine, program, memory.copy(), initial_regs)
             stats = engine.run(max_cycles=max_cycles)
         window = WindowMeasurement(
@@ -202,27 +198,12 @@ def run_program_sampled(
             record_warmup=config.functional_warmup,
         )
 
-    with _span("sample.windows", windows=len(plan), jobs=jobs):
-        payloads = []
-        for rep, weight, window_start, warmup, length in plan:
-            cp: Checkpoint = checkpoints[window_start]
-            payloads.append((
-                machine, program, cp.engine_memory(), cp.regs, cp.pc,
-                cp.warmup if config.functional_warmup > 0 else None,
-                rep, weight, warmup, length, max_cycles,
-            ))
-        if jobs > 1 and len(payloads) > 1:
-            windows: List[WindowMeasurement] = [None] * len(payloads)
-            workers = min(jobs, len(payloads))
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                futures = {
-                    pool.submit(_run_window_job, payload): i
-                    for i, payload in enumerate(payloads)
-                }
-                for future in as_completed(futures):
-                    windows[futures[future]] = future.result()
-        else:
-            windows = [_run_window_job(payload) for payload in payloads]
+    with _span("sample.windows", windows=len(plan)):
+        windows = [
+            _run_window(machine, program, checkpoints, entry, config,
+                        max_cycles)
+            for entry in plan
+        ]
 
     result = extrapolate(
         windows,
@@ -235,13 +216,8 @@ def run_program_sampled(
 
 
 # ---------------------------------------------------------------------------
-# Workload-level entry point with store caching
+# Workload-level entry point and the estimate's store record
 # ---------------------------------------------------------------------------
-
-# In-process estimate cache, keyed by the sampled run digest (which covers
-# workload content, machine config, engine schema and sampling config).
-_CACHE: Dict[str, SampledRunResult] = {}
-
 
 def _extra_payload(result: SampledRunResult) -> dict:
     return {
@@ -280,59 +256,13 @@ def run_workload_sampled(
     machine: Optional[MachineConfig] = None,
     config: Optional[SamplingConfig] = None,
     use_cache: bool = True,
-    jobs: Optional[int] = None,
 ) -> SampledRunResult:
-    """Sampled-simulate one workload (cached like the exact runner).
+    """Sampled-simulate one workload, read through the experiment
+    runner's cache and result store like any other cell."""
+    from ..experiments.runner import _cell
 
-    The cache key is :func:`sampled_run_digest` — disjoint from exact run
-    digests, so sampled and exact results never collide in either cache
-    layer or the persistent store.
-    """
-    from ..experiments.runner import default_jobs
-    from ..results.digest import sampled_run_digest
-    from ..results.store import get_default_store
-
-    machine = machine or default_machine()
-    config = config or SamplingConfig()
-    if jobs is None:
-        jobs = default_jobs()
-
-    digest = None
-    store = None
-    if use_cache:
-        digest = sampled_run_digest(workload, machine, config)
-        cached = _CACHE.get(digest)
-        if cached is not None:
-            return cached
-        store = get_default_store()
-        if store is not None:
-            stats = store.load(digest)
-            if stats is not None:
-                result = _from_store(stats, store.load_extra(digest) or {})
-                _CACHE[digest] = result
-                return result
-
-    memory, regs = workload.fresh_input()
-    result = run_program_sampled(
-        workload.program, memory, regs, machine, config,
-        max_cycles=workload.max_cycles, jobs=jobs,
-    )
-    if use_cache:
-        _CACHE[digest] = result
-        if store is not None:
-            from ..results.digest import machine_digest
-
-            store.save(
-                digest, result.stats,
-                workload=workload.name,
-                machine=machine_digest(machine)[:12],
-                extra=_extra_payload(result),
-            )
-    return result
-
-
-def clear_cache() -> None:
-    _CACHE.clear()
+    return _cell(workload, machine or default_machine(), use_cache,
+                 config or SamplingConfig())
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,13 @@ Store isolation
     (the experiment tests rely on it for speed), cross-session state does
     not.
 
+    ``no_default_store`` turns persistence off and empties the runner's
+    in-process cache for one test, so every cell it needs is simulated.
+
+Process pools
+    ``counting_pool`` counts the process pools the runner opens and the
+    cells submitted to them.
+
 Determinism
     Every test starts from a ``random`` state seeded from its own node id,
     so (a) no test's outcome depends on how many ``random()`` calls the
@@ -25,10 +32,13 @@ Determinism
 import os
 import random
 import zlib
+from concurrent.futures import ProcessPoolExecutor
+from types import SimpleNamespace
 
 import pytest
 
-from repro.results import ResultStore, set_default_store
+from repro.experiments import runner
+from repro.results import ResultStore, get_default_store, set_default_store
 
 
 @pytest.fixture(scope="session", autouse=True)
@@ -37,6 +47,39 @@ def _isolated_result_store(tmp_path_factory):
     set_default_store(ResultStore(store_dir))
     yield
     set_default_store(None)
+
+
+@pytest.fixture
+def no_default_store():
+    """Run the runner with persistence off and an empty in-process cache;
+    restore both afterwards so other test modules keep their warm cache."""
+    saved_store = get_default_store()
+    saved_cache = dict(runner._CACHE)
+    set_default_store(None)
+    runner.clear_cache()
+    yield
+    set_default_store(saved_store)
+    runner._CACHE.clear()
+    runner._CACHE.update(saved_cache)
+
+
+@pytest.fixture
+def counting_pool(monkeypatch):
+    """Swap the runner's ProcessPoolExecutor for one that counts the pools
+    opened (``.pools``) and the cells submitted (``.submitted``)."""
+    counts = SimpleNamespace(pools=0, submitted=0)
+
+    class CountingPool(ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            counts.pools += 1
+            super().__init__(*args, **kwargs)
+
+        def submit(self, *args, **kwargs):
+            counts.submitted += 1
+            return super().submit(*args, **kwargs)
+
+    monkeypatch.setattr(runner, "ProcessPoolExecutor", CountingPool)
+    return counts
 
 
 @pytest.fixture(autouse=True)

@@ -104,11 +104,19 @@ def _restore_default_store():
 def test_sample_command_with_verification(_restore_default_store, capsys):
     # imagick_conv sits under the full-detail threshold, so the sampled
     # estimate is exact and --verify 0.0 must hold.
-    assert main(["sample", "imagick_conv", "--no-store", "--jobs", "1",
+    assert main(["sample", "imagick_conv", "--no-store",
                  "--verify", "0.0"]) == 0
     out = capsys.readouterr().out
     assert "estimated CPI" in out
     assert "verification passed" in out
+
+
+def test_sample_has_no_jobs_option(capsys):
+    # Its windows run one after another; --jobs would have nothing to do.
+    with pytest.raises(SystemExit) as exc:
+        main(["sample", "imagick_conv", "--jobs", "2"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --jobs 2" in capsys.readouterr().err
 
 
 def test_sample_unknown_workload_is_an_error(_restore_default_store, capsys):

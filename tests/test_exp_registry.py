@@ -145,6 +145,31 @@ def test_cells_shared_across_experiments_in_one_invocation():
     assert all(run.counters.cells_simulated == 0 for run in second)
 
 
+def test_run_all_simulates_every_cell_in_one_pool(
+    no_default_store, counting_pool
+):
+    """One invocation is one cell set: from an empty cache it opens one
+    process pool and submits exactly the cells it counts as simulated —
+    fig1's unpaired cells among them — and renders what the serial path
+    renders, with the same cell counts."""
+    names = ["fig1", "fig6", "fig9"]
+
+    def run(jobs):
+        clear_cache()
+        return registry.run_all(names, only=["imagick"], jobs=jobs)
+
+    serial = run(1)
+    assert counting_pool.pools == 0
+    parallel = run(2)
+    simulated = sum(r.counters.cells_simulated for r in parallel)
+    assert parallel[0].counters.cells_simulated > 0  # fig1 shares no cell
+    assert (counting_pool.pools, counting_pool.submitted) == (1, simulated)
+    assert [r.render() for r in parallel] == [r.render() for r in serial]
+    assert [r.counters.to_dict() for r in parallel] == [
+        r.counters.to_dict() for r in serial
+    ]
+
+
 def test_sampled_cells_are_disjoint_from_exact_cells():
     """A cached exact simulation must not satisfy a sampled request (and
     the run is flagged sampled)."""

@@ -35,6 +35,35 @@ def report():
     return validate_suites()  # all suites
 
 
+def test_validation_simulates_in_one_pool(
+    monkeypatch, no_default_store, counting_pool
+):
+    """``lint --validate`` and ``advise --validate`` honour ``--jobs``:
+    their cached runs go to one pool and the reports match the serial
+    ones (on a two-benchmark slice of each suite)."""
+    import repro.workloads
+    from repro.analysis import validate_advise
+    from repro.experiments import runner
+
+    full = repro.workloads.suite
+    monkeypatch.setattr(repro.workloads, "suite", lambda name: full(name)[:2])
+    saved = runner.default_jobs()
+    reports = {}
+    try:
+        for jobs in (1, 2):
+            runner.configure(jobs=jobs)
+            runner.clear_cache()
+            lint = validate_suites(suites=["spec2017"]).to_dict()
+            runner.clear_cache()
+            advise = validate_advise(suites=["spec2017"]).to_dict()
+            reports[jobs] = (lint, advise)
+            assert counting_pool.pools == 2 * (jobs - 1)
+    finally:
+        runner.configure(jobs=saved)
+    assert reports[2] == reports[1]
+    assert reports[1][0]["rows"] and reports[1][1]["rows"]
+
+
 def test_validation_covers_every_suite(report):
     assert tuple(report.suites) == tuple(SUITE_NAMES)
     assert report.loops_total > 20

@@ -61,22 +61,6 @@ def store(tmp_path):
     return ResultStore(tmp_path / "store")
 
 
-@pytest.fixture
-def no_default_store():
-    """Run the runner with persistence off and an empty in-process cache;
-    restore both afterwards so other test modules keep their warm cache."""
-    from repro.results import get_default_store
-
-    saved_store = get_default_store()
-    saved_cache = dict(runner._CACHE)
-    set_default_store(None)
-    runner.clear_cache()
-    yield
-    set_default_store(saved_store)
-    runner._CACHE.clear()
-    runner._CACHE.update(saved_cache)
-
-
 # -- serialization -----------------------------------------------------------
 
 def test_stats_round_trip_exact():
@@ -218,12 +202,13 @@ def test_runner_reads_through_store(store, no_default_store):
 # -- parity: cached == fresh-serial == fresh-parallel ------------------------
 
 def test_serial_parallel_and_cached_parity(no_default_store):
-    bench = suite("spec2017")[0]
-    fresh = runner.run_benchmark(bench, use_cache=False)
-    serial = runner.run_benchmark(bench, jobs=1)
+    only = [suite("spec2017")[0].name]
+    [fresh] = runner.run_suite("spec2017", only=only, use_cache=False)
+    [serial] = runner.run_suite("spec2017", only=only, jobs=1)
     runner.clear_cache()
-    parallel = runner.run_benchmark(bench, jobs=2)
-    cached = runner.run_benchmark(bench, jobs=2)  # all in-process hits now
+    [parallel] = runner.run_suite("spec2017", only=only, jobs=2)
+    # All in-process hits now.
+    [cached] = runner.run_suite("spec2017", only=only, jobs=2)
     for a in (serial, parallel, cached):
         assert a.speedup == fresh.speedup
         for pa, pf in zip(a.phases, fresh.phases):
@@ -237,6 +222,36 @@ def test_run_suite_parallel_matches_serial(no_default_store):
     runner.clear_cache()
     parallel = runner.run_suite("spec2017", only=only, jobs=2)
     assert [r.speedup for r in serial] == [r.speedup for r in parallel]
+
+
+def test_sampled_suite_fans_whole_cells_out_to_one_pool(
+    no_default_store, counting_pool
+):
+    """Sampled cells go to the pool whole: each worker runs a complete
+    sampled estimate (genuine windows under this small config), and the
+    estimates equal the serial ones."""
+    from repro.sampling.runner import SamplingConfig
+
+    config = SamplingConfig(interval_length=1000, full_detail_threshold=5000,
+                            max_clusters=4)
+
+    def estimates(jobs):
+        runner.clear_cache()
+        runs = runner.run_suite("spec2017", only=["imagick"], jobs=jobs,
+                                sampling=config)
+        cells = {
+            key: (stats_fingerprint(r.stats), r.estimated_cpi,
+                  r.error_bound, r.num_clusters)
+            for key, r in runner._CACHE.items()
+        }
+        return [r.speedup for r in runs], cells
+
+    serial = estimates(1)
+    assert counting_pool.pools == 0
+    parallel = estimates(2)
+    assert (counting_pool.pools, counting_pool.submitted) == (1, 4)
+    assert parallel == serial
+    assert all(bound > 0 for _, _, bound, _ in serial[1].values())
 
 
 def test_clear_cache_empties_runner_cache(no_default_store):

@@ -16,6 +16,7 @@ The headline claim of docs/sampling.md, asserted mechanically:
 
 import pytest
 
+from repro.experiments import runner
 from repro.results.digest import run_digest, sampled_run_digest
 from repro.results.store import (
     ResultStore,
@@ -133,11 +134,11 @@ def test_sampled_store_roundtrip(tmp_path):
     store = ResultStore(tmp_path / "store")
     set_default_store(store)
     try:
-        sampling_runner.clear_cache()
+        runner.clear_cache()
         first = run_workload_sampled(workload, machine, config)
         assert not first.cached
 
-        sampling_runner.clear_cache()  # force the persistent-store path
+        runner.clear_cache()  # force the persistent-store path
         second = run_workload_sampled(workload, machine, config)
         assert second.cached
         assert second.stats.cycles == first.stats.cycles
@@ -149,34 +150,29 @@ def test_sampled_store_roundtrip(tmp_path):
         assert second.detailed_instructions == first.detailed_instructions
     finally:
         set_default_store(saved)
-        sampling_runner.clear_cache()
+        runner.clear_cache()
 
 
 def test_sampled_and_exact_store_records_never_collide(tmp_path):
     """Saving a sampled estimate must not shadow the exact record."""
-    from repro.experiments import runner as exact_runner
-
     workload = get_workload("imagick_conv")
     machine = default_machine()
     saved = get_default_store()
     store = ResultStore(tmp_path / "store")
     set_default_store(store)
     try:
-        sampling_runner.clear_cache()
-        exact_runner.clear_cache()
+        runner.clear_cache()
         sampled = run_workload_sampled(workload, machine, SamplingConfig())
-        exact = exact_runner.run_workload(workload, machine)
+        exact = runner.run_workload(workload, machine)
         assert store.stats().records == 2
         # Reload both; each comes back from its own record.
-        sampling_runner.clear_cache()
-        exact_runner.clear_cache()
+        runner.clear_cache()
         assert run_workload_sampled(
             workload, machine, SamplingConfig()
         ).stats.cycles == sampled.stats.cycles
-        assert exact_runner.run_workload(
+        assert runner.run_workload(
             workload, machine
         ).cycles == exact.cycles
     finally:
         set_default_store(saved)
-        sampling_runner.clear_cache()
-        exact_runner.clear_cache()
+        runner.clear_cache()

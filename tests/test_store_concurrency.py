@@ -46,7 +46,7 @@ def _reader(root, schema, digests, stop, failures):
 
 def test_concurrent_writers_no_torn_records(tmp_path):
     workload = tiny_loop("store_stress", outer=8, trip=3)
-    stats = runner._simulate(workload, default_machine())
+    stats = runner.run_workload(workload, default_machine(), use_cache=False)
     payload = stats_to_dict(stats)
     digests = _digests()
     root = tmp_path / "store"

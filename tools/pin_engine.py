@@ -4,10 +4,10 @@
 Run:  PYTHONPATH=src python tools/pin_engine.py
 
 Simulates every suite workload-phase (spec2017, spec2006, longrun) on the
-baseline and LoopFrog machines through the runner's uncached
-``_simulate`` and records each run's :class:`SimStats` fingerprint under
-its run digest.  ``tests/test_engine_parity.py`` checks the same runs
-against the file.
+baseline and LoopFrog machines through the runner, bypassing its cache
+and store (``run_workload(..., use_cache=False)``), and records each
+run's :class:`SimStats` fingerprint under its run digest.
+``tests/test_engine_parity.py`` checks the same runs against the file.
 
 The run digest carries ``ENGINE_SCHEMA_VERSION``, so a timing change must
 come with a schema bump: same run digest, same SimStats.  If a run's
@@ -20,7 +20,7 @@ import json
 import sys
 from pathlib import Path
 
-from repro.experiments.runner import _simulate
+from repro.experiments.runner import run_workload
 from repro.results.digest import run_digest
 from repro.results.serialize import stats_sha256
 from repro.uarch.config import baseline_machine, default_machine
@@ -40,7 +40,7 @@ def main() -> int:
             for workload, _weight in benchmark.phases:
                 for machine_name, make_machine in MACHINES.items():
                     machine = make_machine()
-                    stats = _simulate(workload, machine)
+                    stats = run_workload(workload, machine, use_cache=False)
                     digest = run_digest(workload, machine)
                     entry = {
                         "workload": workload.name,

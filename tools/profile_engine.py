@@ -51,7 +51,7 @@ PHASE_METHODS = {
 
 def simulate_subset(suite_name, count):
     """Cold-simulate the subset on both machine configs; returns totals."""
-    from repro.experiments.runner import _simulate
+    from repro.experiments.runner import run_workload
     from repro.uarch.config import baseline_machine, default_machine
     from repro.workloads.suites import suite
 
@@ -61,7 +61,7 @@ def simulate_subset(suite_name, count):
     for benchmark in suite(suite_name)[:count]:
         for workload, _weight in benchmark.phases:
             for machine in (baseline_machine(), default_machine()):
-                stats = _simulate(workload, machine)
+                stats = run_workload(workload, machine, use_cache=False)
                 instructions += stats.arch_instructions
                 cycles += stats.cycles
                 sims += 1
