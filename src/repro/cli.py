@@ -762,13 +762,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
+    from .experiments import runner
+    from .results import get_default_store, set_default_store
+    from .uarch import core
+
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "engine_mode", None):
-        from .uarch.core import set_engine_mode
-
-        set_engine_mode(args.engine_mode)
+    # --jobs, --no-store, --store-dir and --engine-mode set process-wide
+    # defaults for this command only: a caller in the same process, such
+    # as a test, gets its own back when the command returns or raises.
+    saved = (runner.default_jobs(), get_default_store(), core._mode_override)
     try:
+        if getattr(args, "engine_mode", None):
+            core.set_engine_mode(args.engine_mode)
         return args.func(args)
     except ReproError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -776,6 +782,11 @@ def main(argv: Optional[List[str]] = None) -> int:
     except FileNotFoundError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    finally:
+        jobs, store, mode = saved
+        runner.configure(jobs=jobs)
+        set_default_store(store)
+        core.set_engine_mode(mode)
 
 
 if __name__ == "__main__":  # pragma: no cover

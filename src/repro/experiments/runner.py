@@ -17,11 +17,14 @@ store digest (see :mod:`repro.results.digest`): ``run_digest`` for an
 exact cell, ``sampled_run_digest`` for a sampled one, so one in-process
 cache serves both and an estimate can never shadow an exact result.
 
-:func:`_prefetch` is the one read-through.  With ``jobs <= 1`` it walks
-the cells in order: key, cache, store, simulate, fill.  With ``jobs > 1``
-it dedups the cells, reads the store, and sends the misses to one
+:func:`_prefetch` is the one read-through.  It takes the cells in runs
+of consecutive cells of one workload, and a run's misses form one job:
+the workload's input is built once, and a sampled job's plan once, for
+every machine of the job.  With ``jobs <= 1`` it walks the runs in
+order: key, cache, store, simulate, fill.  With ``jobs > 1`` it dedups
+the cells, reads the store, and sends the jobs to one
 :class:`~concurrent.futures.ProcessPoolExecutor`, whose worker entry
-:func:`_run_job` runs a full engine run or a whole sampled estimate.  Both
+:func:`_run_job` runs full engine runs or whole sampled estimates.  Both
 paths give bit-identical results.  ``run_suite`` and
 ``registry.run_all`` call it once over every cell they need, then
 assemble from the warm cache; ``run_benchmark`` and ``run_workload`` only
@@ -33,6 +36,7 @@ from __future__ import annotations
 import os
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass
+from itertools import groupby
 from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 from ..analysis.speedup import BenchmarkResult, weighted_time
@@ -105,27 +109,36 @@ def clear_cache() -> None:
     _CACHE.clear()
 
 
-def _payload(workload: Workload, machine: MachineConfig, config) -> tuple:
-    """A cell's picklable job.  It leaves out the :class:`Workload`, whose
-    ``setup`` is usually a closure: the parent materializes
-    ``fresh_input()`` and ships plain state."""
+def _payload(workload: Workload, machines: Iterable[MachineConfig],
+             config) -> tuple:
+    """One job's picklable payload: ``workload`` on each of ``machines``.
+    It leaves out the :class:`Workload`, whose ``setup`` is usually a
+    closure: the parent materializes ``fresh_input()`` once and ships
+    plain state."""
     memory, regs = workload.fresh_input()
-    return (workload.program, memory, regs, machine, workload.max_cycles,
-            config)
+    return (workload.program, memory, regs, tuple(machines),
+            workload.max_cycles, config)
 
 
-def _run_job(payload):
-    """One cell, in this process or a worker: a full engine run
-    (:class:`SimStats`) or a whole sampled estimate
-    (:class:`~repro.sampling.extrapolate.SampledRunResult`)."""
-    program, memory, regs, machine, max_cycles, config = payload
+def _run_job(payload) -> list:
+    """One job, in this process or a worker: one workload's cells, with
+    one result per machine, in order.  An exact cell is a full engine run
+    (:class:`SimStats`) on its own copy of the input; the sampled cells
+    share one :class:`~repro.sampling.runner.SamplingPlan` and each is a
+    whole estimate (:class:`~repro.sampling.extrapolate.SampledRunResult`)."""
+    program, memory, regs, machines, max_cycles, config = payload
     if config is None:
-        return Engine(machine, program, memory, regs).run(max_cycles=max_cycles)
-    from ..sampling.runner import run_program_sampled
+        return [
+            Engine(machine, program, memory.copy(), regs).run(
+                max_cycles=max_cycles
+            )
+            for machine in machines
+        ]
+    from ..sampling.runner import plan_program_sampled, run_program_sampled
 
-    return run_program_sampled(
-        program, memory, regs, machine, config, max_cycles=max_cycles
-    )
+    plan = plan_program_sampled(program, memory, regs, config)
+    return [run_program_sampled(plan, machine, max_cycles)
+            for machine in machines]
 
 
 def _load(store, key: str, config):
@@ -137,19 +150,22 @@ def _load(store, key: str, config):
     return _from_store(stats, store.load_extra(key) or {})
 
 
-def _save(store, key: str, workload: Workload, machine: MachineConfig,
-          result) -> None:
-    """Record a fresh result in the cache and the store."""
-    _CACHE[key] = result
-    if store is None:
-        return
-    label = {"workload": workload.name, "machine": machine_digest(machine)[:12]}
-    if isinstance(result, SimStats):
-        store.save(key, result, **label)
-    else:
-        from ..sampling.runner import _extra_payload
+def _save(store, workload: Workload, cells: Dict[str, MachineConfig],
+          results: List[Any]) -> None:
+    """Record a job's fresh results in the cache and the store."""
+    for (key, machine), result in zip(cells.items(), results):
+        _CACHE[key] = result
+        if store is None:
+            continue
+        label = {"workload": workload.name,
+                 "machine": machine_digest(machine)[:12]}
+        if isinstance(result, SimStats):
+            store.save(key, result, **label)
+        else:
+            from ..sampling.runner import _extra_payload
 
-        store.save(key, result.stats, extra=_extra_payload(result), **label)
+            store.save(key, result.stats, extra=_extra_payload(result),
+                       **label)
 
 
 def _prefetch(
@@ -159,40 +175,52 @@ def _prefetch(
 ) -> None:
     """Ensure every (workload, machine) cell is cached.
 
-    With ``jobs <= 1`` each cell is keyed, looked up and simulated before
-    the next is keyed: a workload digest encodes the whole memory image,
-    so keying every cell first would hold more memory at once.  With
-    ``jobs > 1`` the cells are deduped, the store is read, and the misses
-    go to one process pool; a lone miss runs here.
+    The cells are taken in runs of consecutive cells of one workload.  A
+    run's cells are keyed and looked up in the cache and the store, and
+    its misses form one job (:func:`_run_job`), which builds the input,
+    and a sampled job its plan, once for all of them.  With ``jobs <= 1``
+    each job runs before the next run is keyed: a workload digest encodes
+    the whole memory image, so keying every cell first would hold more
+    memory at once.  With ``jobs > 1`` the cells are deduped, the store is
+    read, and the jobs go to one process pool; a lone job runs here.
     """
     config = _sampling_config(sampling)
     store = get_default_store()
-    pending: Dict[str, Tuple[Workload, MachineConfig]] = {}
-    for workload, machine in pairs:
-        key = cell_key(workload, machine, config)
-        if key in _CACHE or key in pending:
+    pending: List[Tuple[Workload, Dict[str, MachineConfig]]] = []
+    pending_keys = set()
+    for _, run in groupby(pairs, key=lambda pair: id(pair[0])):
+        missing: Dict[str, MachineConfig] = {}
+        for workload, machine in run:
+            key = cell_key(workload, machine, config)
+            if key in _CACHE or key in missing or key in pending_keys:
+                continue
+            result = _load(store, key, config) if store is not None else None
+            if result is not None:
+                _CACHE[key] = result
+            else:
+                missing[key] = machine
+        if not missing:
             continue
-        result = _load(store, key, config) if store is not None else None
-        if result is not None:
-            _CACHE[key] = result
-        elif jobs <= 1:
-            _save(store, key, workload, machine,
-                  _run_job(_payload(workload, machine, config)))
+        if jobs <= 1:
+            _save(store, workload, missing,
+                  _run_job(_payload(workload, missing.values(), config)))
         else:
-            pending[key] = (workload, machine)
+            pending.append((workload, missing))
+            pending_keys.update(missing)
     if len(pending) == 1:
-        [(key, (workload, machine))] = pending.items()
-        _save(store, key, workload, machine,
-              _run_job(_payload(workload, machine, config)))
+        [(workload, missing)] = pending
+        _save(store, workload, missing,
+              _run_job(_payload(workload, missing.values(), config)))
     elif pending:
         with ProcessPoolExecutor(max_workers=min(jobs, len(pending))) as pool:
             futures = {
-                pool.submit(_run_job, _payload(workload, machine, config)): key
-                for key, (workload, machine) in pending.items()
+                pool.submit(
+                    _run_job, _payload(workload, missing.values(), config)
+                ): (workload, missing)
+                for workload, missing in pending
             }
             for future in as_completed(futures):
-                key = futures[future]
-                _save(store, key, *pending[key], future.result())
+                _save(store, *futures[future], future.result())
 
 
 def _cell(workload: Workload, machine: MachineConfig, use_cache: bool,
@@ -201,7 +229,8 @@ def _cell(workload: Workload, machine: MachineConfig, use_cache: bool,
     (``use_cache=False`` simulates it here, touching neither)."""
     config = _sampling_config(sampling)
     if not use_cache:
-        return _run_job(_payload(workload, machine, config))
+        [result] = _run_job(_payload(workload, [machine], config))
+        return result
     key = cell_key(workload, machine, config)
     if key not in _CACHE:
         _prefetch([(workload, machine)], 1, config)

@@ -30,6 +30,8 @@ from .extrapolate import SampledRunResult, extrapolate
 from .runner import (
     SAMPLING_SCHEMA_VERSION,
     SamplingConfig,
+    SamplingPlan,
+    plan_program_sampled,
     run_program_sampled,
     run_workload_sampled,
 )
@@ -42,12 +44,14 @@ __all__ = [
     "SAMPLING_SCHEMA_VERSION",
     "SampledRunResult",
     "SamplingConfig",
+    "SamplingPlan",
     "WarmupState",
     "basic_blocks",
     "cluster_intervals",
     "collect_checkpoints",
     "extrapolate",
     "kmeans",
+    "plan_program_sampled",
     "profile_intervals",
     "run_program_sampled",
     "run_workload_sampled",

@@ -1,6 +1,6 @@
 """Sampled-simulation orchestration: profile, cluster, window, extrapolate.
 
-The pipeline (docs/sampling.md) for one (program, machine) pair:
+The pipeline (docs/sampling.md) for one program:
 
 1. **Profile** (fast-forward pass 1): BBV per ``interval_length``
    instructions over the whole program.
@@ -16,13 +16,16 @@ The pipeline (docs/sampling.md) for one (program, machine) pair:
    after another.
 5. **Extrapolate**: weighted CPI combination with an error bound.
 
-:func:`run_program_sampled` is the whole method for one program.  Caching
-and fan-out belong to :mod:`repro.experiments.runner`, which treats a
-sampled estimate as one cell: keyed by
+Steps 1-3 never read the machine: :func:`plan_program_sampled` runs them
+once per program and returns a :class:`SamplingPlan`, and
+:func:`run_program_sampled` runs steps 4-5 of a plan on one machine.
+Caching and fan-out belong to :mod:`repro.experiments.runner`, which
+treats a sampled estimate as one cell: keyed by
 :func:`~repro.results.digest.sampled_run_digest` (a digest dimension
 disjoint from exact results, so an estimate can never shadow a detailed
 simulation), read through the result store with :func:`_from_store`,
-saved with :func:`_extra_payload`, and sent whole to its process pool.
+saved with :func:`_extra_payload`, and sent to its process pool with the
+workload's other missing cells, which share one plan.
 """
 
 from __future__ import annotations
@@ -100,18 +103,91 @@ def _window_plan(
     return plan
 
 
-def _run_window(machine, program, checkpoints, entry, config,
+@dataclass(frozen=True)
+class SamplingPlan:
+    """The machine-independent half of a sampled run of one program.
+
+    Profiling, clustering and checkpointing read only the program, its
+    entry state and the :class:`SamplingConfig`, never the machine, so
+    one plan serves every machine the program is estimated on.
+    ``windows`` is empty when the program is too short to sample.
+    """
+
+    program: Program
+    memory: SparseMemory              # program-entry state, never mutated
+    initial_regs: Dict[str, float]
+    config: SamplingConfig
+    total_instructions: int
+    num_intervals: int
+    ff_instructions_per_second: float
+    windows: List[Tuple[int, float, int, int, int]]   # see _window_plan
+    checkpoints: Dict[int, Checkpoint]                # by window start
+
+
+def plan_program_sampled(
+    program: Program,
+    memory: SparseMemory,
+    initial_regs: Dict[str, float],
+    config: Optional[SamplingConfig] = None,
+) -> SamplingPlan:
+    """Profile, cluster and checkpoint one program (steps 1-3).
+
+    ``memory``/``initial_regs`` are the program-entry state (they are
+    copied per pass, never mutated).
+    """
+    config = config or SamplingConfig()
+
+    with _span("sample.profile", program=program.name,
+               interval_length=config.interval_length):
+        start = time.perf_counter()
+        intervals, total_instructions = profile_intervals(
+            program, memory.copy(), initial_regs,
+            config.interval_length, config.max_instructions,
+        )
+        profile_wall = time.perf_counter() - start
+
+    windows: List[Tuple[int, float, int, int, int]] = []
+    checkpoints: Dict[int, Checkpoint] = {}
+    # Too short to sample: no windows, and run_program_sampled runs the
+    # whole program in detail.
+    if total_instructions > config.full_detail_threshold:
+        with _span("sample.cluster", intervals=len(intervals)):
+            cluster = cluster_intervals(
+                intervals, config.max_clusters, config.seed
+            )
+        windows = _window_plan(intervals, cluster, config.warmup_intervals)
+        with _span("sample.checkpoint", windows=len(windows)):
+            checkpoints = collect_checkpoints(
+                program, memory.copy(), initial_regs,
+                [window_start for _, _, window_start, _, _ in windows],
+                record_warmup=config.functional_warmup,
+            )
+
+    return SamplingPlan(
+        program=program, memory=memory, initial_regs=initial_regs,
+        config=config, total_instructions=total_instructions,
+        num_intervals=len(intervals),
+        ff_instructions_per_second=(
+            total_instructions / profile_wall if profile_wall > 0 else 0.0
+        ),
+        windows=windows, checkpoints=checkpoints,
+    )
+
+
+def _run_window(plan: SamplingPlan, entry, machine,
                 max_cycles: int) -> WindowMeasurement:
     """One detailed window of the plan, replayed from its checkpoint."""
     (interval_index, weight, window_start,
      warmup_instructions, n_instructions) = entry
-    checkpoint: Checkpoint = checkpoints[window_start]
-    warmup_state = checkpoint.warmup if config.functional_warmup > 0 else None
+    checkpoint: Checkpoint = plan.checkpoints[window_start]
+    warmup_state = (
+        checkpoint.warmup if plan.config.functional_warmup > 0 else None
+    )
     # With a recorded warmup the caches are reconstructed from last-touch
     # order (apply_warmup); the constructor's whole-working-set warming
     # models program entry and would leave mid-program windows too warm.
     engine = Engine(
-        machine, program, checkpoint.engine_memory(), checkpoint.regs,
+        machine, plan.program, checkpoint.engine_memory(), checkpoint.regs,
         warm_caches=warmup_state is None, initial_pc=checkpoint.pc,
     )
     if warmup_state is not None:
@@ -132,42 +208,27 @@ def _run_window(machine, program, checkpoints, entry, config,
 
 
 def run_program_sampled(
-    program: Program,
-    memory: SparseMemory,
-    initial_regs: Dict[str, float],
+    plan: SamplingPlan,
     machine: Optional[MachineConfig] = None,
-    config: Optional[SamplingConfig] = None,
     max_cycles: int = 50_000_000,
 ) -> SampledRunResult:
-    """Sampled-simulate one program; returns the extrapolated estimate.
-
-    ``memory``/``initial_regs`` are the program-entry state (they are
-    copied per pass, never mutated).
-    """
+    """Estimate the planned program on ``machine`` (steps 4-5): run its
+    detailed windows and extrapolate."""
     machine = machine or default_machine()
-    config = config or SamplingConfig()
+    config = plan.config
 
-    with _span("sample.profile", program=program.name,
-               interval_length=config.interval_length):
-        start = time.perf_counter()
-        intervals, total_instructions = profile_intervals(
-            program, memory.copy(), initial_regs,
-            config.interval_length, config.max_instructions,
-        )
-        profile_wall = time.perf_counter() - start
-    ff_rate = total_instructions / profile_wall if profile_wall > 0 else 0.0
-
-    if total_instructions <= config.full_detail_threshold:
+    if not plan.windows:
         # Too short to sample (the classic SimPoint guard, see
         # docs/sampling.md): one detailed run over the whole program,
         # weight 1.  The estimate IS the detailed result — every counter
         # exact, error bound zero.
         with _span("sample.windows", windows=1):
-            engine = Engine(machine, program, memory.copy(), initial_regs)
+            engine = Engine(machine, plan.program, plan.memory.copy(),
+                            plan.initial_regs)
             stats = engine.run(max_cycles=max_cycles)
         window = WindowMeasurement(
             interval_index=0, weight=1.0, warmup_instructions=0,
-            measured_instructions=total_instructions,
+            measured_instructions=plan.total_instructions,
             measured_cycles=stats.cycles, stats=stats,
         )
         return SampledRunResult(
@@ -178,41 +239,28 @@ def run_program_sampled(
             ),
             estimated_cycles=stats.cycles,
             error_bound=0.0,
-            total_instructions=total_instructions,
-            num_intervals=len(intervals),
+            total_instructions=plan.total_instructions,
+            num_intervals=plan.num_intervals,
             num_clusters=1,
             interval_length=config.interval_length,
-            detailed_instructions=total_instructions,
-            ff_instructions_per_second=ff_rate,
+            detailed_instructions=plan.total_instructions,
+            ff_instructions_per_second=plan.ff_instructions_per_second,
             windows=[window],
         )
 
-    with _span("sample.cluster", intervals=len(intervals)):
-        cluster = cluster_intervals(intervals, config.max_clusters, config.seed)
-    plan = _window_plan(intervals, cluster, config.warmup_intervals)
-
-    with _span("sample.checkpoint", windows=len(plan)):
-        checkpoints = collect_checkpoints(
-            program, memory.copy(), initial_regs,
-            [window_start for _, _, window_start, _, _ in plan],
-            record_warmup=config.functional_warmup,
-        )
-
-    with _span("sample.windows", windows=len(plan)):
+    with _span("sample.windows", windows=len(plan.windows)):
         windows = [
-            _run_window(machine, program, checkpoints, entry, config,
-                        max_cycles)
-            for entry in plan
+            _run_window(plan, entry, machine, max_cycles)
+            for entry in plan.windows
         ]
 
-    result = extrapolate(
+    return extrapolate(
         windows,
-        total_instructions=total_instructions,
-        num_intervals=len(intervals),
+        total_instructions=plan.total_instructions,
+        num_intervals=plan.num_intervals,
         interval_length=config.interval_length,
-        ff_instructions_per_second=ff_rate,
+        ff_instructions_per_second=plan.ff_instructions_per_second,
     )
-    return result
 
 
 # ---------------------------------------------------------------------------

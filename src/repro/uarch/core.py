@@ -359,36 +359,31 @@ class Engine:
         self.ep_cycles_single = 0     # cycles simulated inside them
         self.ep_cycles_multi = 0
 
-        # Path selection (see set_engine_mode above).  Instance
-        # attributes shadow the class methods, so the episode engine
-        # swaps in the episode _advance and the cached slot orders
-        # without any per-cycle mode tests; the reference engine binds
-        # nothing and runs step().  Both modes drive run() and
-        # run_window() through _advance.
+        # Path selection (see set_engine_mode above).  An episode engine
+        # becomes an _EpisodeEngine, whose class binds the episode
+        # _advance and the cached slot orders, so no per-cycle mode test
+        # runs and the engine holds no bound method of itself; the
+        # reference engine stays an Engine and runs step().  Both modes
+        # drive run() and run_window() through _advance.
         mode = engine_mode()
         self.engine_mode = mode
         if mode == "episode":
             self._fast_prog = fast_program(program)
-            self._advance = self._ep_advance
-            self._older_slots = self._cached_older_slots
-            self._younger_slots = self._cached_younger_slots
+            self.__class__ = _EpisodeEngine
         self._order_changed()
 
     def use_reference_path(self) -> None:
-        """Rebind this engine instance onto the reference step pipeline.
+        """Switch this engine onto the reference step pipeline.
 
         Instrumentation that wraps the per-stage helpers (e.g.
         :class:`~repro.uarch.trace.Tracer` hooking ``_fetch_one`` /
         ``_dispatch_one``) needs the reference path, because the episode
-        loops inline those helpers.  Removing the instance-attribute
-        shadows restores the class methods; both paths are
-        bit-identical, so results do not change.
+        loops inline those helpers.  Turning the engine back into a
+        plain :class:`Engine` restores the reference methods; both paths
+        are bit-identical, so results do not change.
         """
-        if self.engine_mode == "reference":
-            return
         self.engine_mode = "reference"
-        for name in ("_advance", "_older_slots", "_younger_slots"):
-            self.__dict__.pop(name, None)
+        self.__class__ = Engine
 
     def _warm_caches(self) -> None:
         """Pre-warm the L2 with the workload's initialised data and the L1I
@@ -448,6 +443,7 @@ class Engine:
                     span.attrs["ep_cycles_single"] = self.ep_cycles_single
                     span.attrs["ep_cycles_multi"] = self.ep_cycles_multi
         self._flush_cycle_stats()
+        self._release_views()
         self.stats.cycles = self.cycle
         return self.stats
 
@@ -466,12 +462,22 @@ class Engine:
         constructor's ``warm_caches`` whole-working-set warming (which
         models program *entry*, not a mid-program cut).  Must be called
         before the first :meth:`step`.
+
+        The record holds byte addresses, so one record serves any line
+        size.  An LRU set's contents and order depend only on each
+        line's last touch, and every later stamp exceeds every earlier
+        one, so each distinct line is inserted once, at its last touch:
+        the same sets a per-address replay leaves, at a cost per line.
         """
         line = self.machine.memory.line_size
-        for addr in warmup.mem_addresses:
-            line_addr = addr // line
-            self.hierarchy.l2.insert(line_addr)
-            self.hierarchy.l1d.insert(line_addr)
+        l2_insert = self.hierarchy.l2.insert
+        l1d_insert = self.hierarchy.l1d.insert
+        newest_first = dict.fromkeys(
+            addr // line for addr in reversed(warmup.mem_addresses)
+        )
+        for line_addr in reversed(newest_first):
+            l2_insert(line_addr)
+            l1d_insert(line_addr)
         self._warm_text()
         for pc, target in warmup.branch_targets:
             self.predictor.btb.insert(pc, target)
@@ -541,6 +547,7 @@ class Engine:
                 break
         self._stop_at = _NO_STOP
         self._flush_cycle_stats()
+        self._release_views()
         stats.cycles = self.cycle
         return WindowResult(
             stats=stats,
@@ -562,7 +569,7 @@ class Engine:
             advance(max_cycles)
 
     def _advance(self, max_cycles: int) -> None:
-        """Reference advance: one cycle (episode engines rebind this)."""
+        """Reference advance: one cycle (_EpisodeEngine overrides this)."""
         self.step()
 
     def _skip_idle(self, max_cycles: int) -> None:
@@ -1873,6 +1880,14 @@ class Engine:
         t.mem_view = (t.is_arch, view)
         return view
 
+    def _release_views(self) -> None:
+        """Drop the threadlets' cached memory views.  A view points back
+        at this engine, so without this a finished engine, with its
+        memory copy, SSB and caches, would wait for the cyclic garbage
+        collector.  Views are rebuilt on demand."""
+        for t in self.threadlets:
+            t.mem_view = None
+
     # ------------------------------------------------------------------
     # Hints: detach / reattach / sync
     # ------------------------------------------------------------------
@@ -2629,6 +2644,20 @@ class Engine:
     # Current PipelineInstr whose functional execution is in progress; used
     # by the memory views to attribute SSB writes to instructions.
     _current_pi: Optional[PipelineInstr] = None
+
+
+class _EpisodeEngine(Engine):
+    """An engine on the episode path (see set_engine_mode above).
+
+    ``Engine.__init__`` chooses this class and ``use_reference_path``
+    switches back.  The class, not the instance, binds the episode
+    methods, so an engine is no reference cycle and is freed when its
+    last reference goes.
+    """
+
+    _advance = Engine._ep_advance
+    _older_slots = Engine._cached_older_slots
+    _younger_slots = Engine._cached_younger_slots
 
 
 # ---------------------------------------------------------------------------

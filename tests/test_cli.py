@@ -215,6 +215,38 @@ def test_jobs_zero_means_all_cores(_restore_default_store):
         runner.configure(jobs=saved)
 
 
+def test_commands_leave_process_defaults_as_they_found_them(monkeypatch, capsys):
+    """--jobs, --no-store and --engine-mode hold for the command's own run
+    only, whether it returns or raises."""
+    from repro import experiments
+    from repro.experiments import runner
+    from repro.results import get_default_store
+    from repro.uarch import core
+
+    def defaults():
+        return runner.default_jobs(), get_default_store(), core.engine_mode()
+
+    before = defaults()
+    seen = []
+    real_run_suite = experiments.run_suite
+
+    def run_suite(name, only=None, sampling=None):
+        seen.append(defaults())
+        if len(seen) > 1:
+            raise RuntimeError("simulation failed")
+        return real_run_suite(name, only=only, sampling=sampling, jobs=1)
+
+    monkeypatch.setattr(experiments, "run_suite", run_suite)
+    argv = ["--engine-mode", "reference", "suite", "spec2017",
+            "--only", "imagick", "--no-store", "--jobs", "3"]
+    assert main(argv) == 0
+    assert defaults() == before
+    with pytest.raises(RuntimeError):
+        main(argv)
+    assert defaults() == before
+    assert seen == [(3, None, "reference")] * 2
+
+
 def test_non_integer_jobs_is_a_usage_error():
     with pytest.raises(SystemExit) as exc:
         main(["suite", "spec2017", "--jobs", "many"])

@@ -27,22 +27,28 @@ The suite leg also checks each run's stats against the output pin,
 fingerprint per run digest.  The run digest carries
 ``ENGINE_SCHEMA_VERSION``, so the rule is "same run digest, same
 SimStats": a timing change must bump the schema, and then
-``tools/pin_engine.py`` rewrites the pin.
+``tools/pin_engine.py`` rewrites the pin.  The pin also holds the
+default sampled estimate of every longrun phase on both machines, under
+its sampled run digest, which carries ``SAMPLING_SCHEMA_VERSION`` too.
 """
 
 import dataclasses
 import functools
+import gc
 import itertools
 import json
+import weakref
 from pathlib import Path
 
 import pytest
 
 from repro.compiler import compile_frog
+from repro.experiments import runner
 from repro.obs.metrics import load_all
-from repro.results.digest import run_digest
+from repro.results.digest import run_digest, sampled_run_digest
 from repro.results.serialize import stats_sha256
 from repro.sampling.fastforward import collect_checkpoints
+from repro.sampling.runner import SAMPLING_SCHEMA_VERSION, SamplingConfig
 from repro.uarch.config import baseline_machine, default_machine
 from repro.uarch.core import (
     ENGINE_MODES,
@@ -50,6 +56,7 @@ from repro.uarch.core import (
     Engine,
     set_engine_mode,
 )
+from repro.workloads import get_workload
 from repro.workloads.suites import SUITE_NAMES, suite
 
 from tests.test_differential import (
@@ -205,6 +212,40 @@ def test_engine_pin_holds_exactly_the_current_run_digests():
     assert sorted(_PIN["runs"]) == sorted(digests)
 
 
+def test_sampled_longrun_matches_pin(no_default_store):
+    """A sampled ``run_suite("longrun")`` gives, for every phase on both
+    machines, the pinned estimate under the pinned sampled run digest:
+    CPI, error bound, counts and the extrapolated SimStats."""
+    runner.run_suite("longrun", sampling=True, jobs=1)
+    assert _PIN["sampling_schema"] == SAMPLING_SCHEMA_VERSION
+    config = SamplingConfig()
+    digests = []
+    for benchmark in suite("longrun"):
+        for workload, _weight in benchmark.phases:
+            for machine_name, make_machine in MACHINES.items():
+                digest = sampled_run_digest(workload, make_machine(), config)
+                digests.append(digest)
+                result = runner._CACHE[digest]
+                estimate = {
+                    "workload": workload.name,
+                    "machine": machine_name,
+                    "estimated_cpi": result.estimated_cpi,
+                    "error_bound": result.error_bound,
+                    "cycles": result.stats.cycles,
+                    "total_instructions": result.total_instructions,
+                    "detailed_instructions": result.detailed_instructions,
+                    "num_intervals": result.num_intervals,
+                    "num_clusters": result.num_clusters,
+                    "stats_sha256": stats_sha256(result.stats),
+                }
+                assert estimate == _PIN["sampled"].get(digest), (
+                    f"sampled {workload.name} on {machine_name} moved under "
+                    f"an unchanged sampled run digest: bump "
+                    f"SAMPLING_SCHEMA_VERSION, then regenerate"
+                )
+    assert sorted(_PIN["sampled"]) == sorted(digests)
+
+
 # ---------------------------------------------------------------------------
 # Sampled-window entry point parity
 # ---------------------------------------------------------------------------
@@ -274,3 +315,34 @@ def test_run_window_parity(machine_name):
         # and merges overshoot window boundaries.
         assert multi_episodes > 0
         assert overshoots > 0
+
+
+# ---------------------------------------------------------------------------
+# Engine lifetime
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("entry", ["run", "run_window"])
+@pytest.mark.parametrize("mode", ENGINE_MODES)
+def test_finished_engine_is_freed_without_the_cyclic_collector(mode, entry):
+    """An engine is no reference cycle: once ``run`` or ``run_window``
+    returns and the caller lets go of it, reference counting alone frees
+    it, with its memory copy, SSB and caches."""
+    workload = get_workload("imagick_conv")
+    memory, regs = workload.fresh_input()
+    set_engine_mode(mode)
+    try:
+        engine = Engine(default_machine(), workload.program, memory, regs)
+    finally:
+        set_engine_mode(None)
+    freed = weakref.ref(engine)
+    gc.disable()
+    try:
+        if entry == "run":
+            stats = engine.run(max_cycles=workload.max_cycles)
+        else:
+            stats = engine.run_window(3_000).stats
+        assert stats.threadlets_spawned > 0
+        del engine
+        assert freed() is None
+    finally:
+        gc.enable()

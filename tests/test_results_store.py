@@ -225,15 +225,31 @@ def test_run_suite_parallel_matches_serial(no_default_store):
 
 
 def test_sampled_suite_fans_whole_cells_out_to_one_pool(
-    no_default_store, counting_pool
+    no_default_store, counting_pool, monkeypatch
 ):
-    """Sampled cells go to the pool whole: each worker runs a complete
-    sampled estimate (genuine windows under this small config), and the
-    estimates equal the serial ones."""
+    """Sampled cells go to the pool whole, one job per workload: each
+    worker plans the workload once and runs a complete sampled estimate
+    (genuine windows under this small config) for both machines, and the
+    estimates equal the serial ones.  Serially, too, each workload is
+    profiled and checkpointed once for both machines."""
+    from repro.sampling import runner as sampling_runner
     from repro.sampling.runner import SamplingConfig
 
     config = SamplingConfig(interval_length=1000, full_detail_threshold=5000,
                             max_clusters=4)
+    passes = {"profile_intervals": 0, "collect_checkpoints": 0}
+
+    def counted(name):
+        inner = getattr(sampling_runner, name)
+
+        def wrapper(*args, **kwargs):
+            passes[name] += 1
+            return inner(*args, **kwargs)
+        return wrapper
+
+    for name in passes:
+        monkeypatch.setattr(sampling_runner, name, counted(name))
+    phases = len(next(b for b in suite("spec2017") if b.name == "imagick").phases)
 
     def estimates(jobs):
         runner.clear_cache()
@@ -248,8 +264,10 @@ def test_sampled_suite_fans_whole_cells_out_to_one_pool(
 
     serial = estimates(1)
     assert counting_pool.pools == 0
+    assert passes == {"profile_intervals": phases, "collect_checkpoints": phases}
+    assert len(serial[1]) == 2 * phases
     parallel = estimates(2)
-    assert (counting_pool.pools, counting_pool.submitted) == (1, 4)
+    assert (counting_pool.pools, counting_pool.submitted) == (1, phases)
     assert parallel == serial
     assert all(bound > 0 for _, _, bound, _ in serial[1].values())
 

@@ -52,9 +52,11 @@ def test_every_suite_workload_sampled_cpi_within_two_percent():
     for workload, bench_name in _suite_workloads():
         exact = _exact_stats(workload, machine)
         memory, regs = workload.fresh_input()
+        plan = sampling_runner.plan_program_sampled(
+            workload.program, memory, regs, config
+        )
         sampled = sampling_runner.run_program_sampled(
-            workload.program, memory, regs, machine, config,
-            max_cycles=workload.max_cycles,
+            plan, machine, max_cycles=workload.max_cycles
         )
         exact_cpi = exact.cycles / exact.arch_instructions
         error = (sampled.estimated_cpi - exact_cpi) / exact_cpi
@@ -80,9 +82,11 @@ def test_longrun_genuinely_sampled_within_five_percent():
 
     exact = _exact_stats(workload, machine)
     memory, regs = workload.fresh_input()
+    plan = sampling_runner.plan_program_sampled(
+        workload.program, memory, regs, SamplingConfig()
+    )
     sampled = sampling_runner.run_program_sampled(
-        workload.program, memory, regs, machine, SamplingConfig(),
-        max_cycles=workload.max_cycles,
+        plan, machine, max_cycles=workload.max_cycles
     )
 
     # Genuine sampling, not the short-program guard: windows must cover

@@ -211,3 +211,77 @@ def test_checkpoint_warmup_matches_golden_trace(seed):
         assert checkpoints[boundary].warmup == _golden_warmup(
             program, seed, boundary, 64
         ), f"seed {seed}: warm-up record diverged at icount {boundary}"
+
+
+# ---------------------------------------------------------------------------
+# Cache warm-up replay: one insert per line equals one per recorded address
+# ---------------------------------------------------------------------------
+
+def _replay_per_address(engine, warmup):
+    """The reference cache replay: every recorded address, oldest first,
+    into the L2 and the L1D, then the program text."""
+    line = engine.machine.memory.line_size
+    for addr in warmup.mem_addresses:
+        engine.hierarchy.l2.insert(addr // line)
+        engine.hierarchy.l1d.insert(addr // line)
+    engine._warm_text()
+
+
+def _lru_sets(level):
+    """Each set's lines, least recently used first (None: never filled)."""
+    return [
+        None if lines is None else sorted(lines, key=lines.get)
+        for lines in level.sets
+    ]
+
+
+def _assert_line_replay_matches(program, warmup, label):
+    machine = default_machine()
+    engines = [Engine(machine, program, warm_caches=False) for _ in range(2)]
+    engines[0].apply_warmup(warmup)
+    _replay_per_address(engines[1], warmup)
+    for level in ("l1d", "l2"):
+        line_sets, address_sets = (
+            _lru_sets(getattr(e.hierarchy, level)) for e in engines
+        )
+        assert line_sets == address_sets, f"{label}: {level} sets differ"
+
+
+def test_line_replay_matches_per_address_replay_on_longrun_records():
+    from repro.sampling.runner import plan_program_sampled
+    from repro.workloads.suites import suite
+
+    records = 0
+    for benchmark in suite("longrun"):
+        for workload, _weight in benchmark.phases:
+            memory, regs = workload.fresh_input()
+            plan = plan_program_sampled(workload.program, memory, regs)
+            for start, checkpoint in plan.checkpoints.items():
+                _assert_line_replay_matches(
+                    workload.program, checkpoint.warmup,
+                    f"{workload.name} at {start}",
+                )
+                records += 1
+    assert records > 0
+
+
+def test_line_replay_matches_per_address_replay_on_retouched_lines():
+    """A random stream whose lines are touched again and again, many of
+    them aliasing into the same L1D and L2 sets, so both levels evict."""
+    import random
+
+    rng = random.Random(7)
+    machine = default_machine()
+    line = machine.memory.line_size
+    l2_sets = machine.memory.l2_size // (machine.memory.l2_assoc * line)
+    stream = []
+    for _ in range(20_000):
+        if rng.random() < 0.7:  # 16 sets, 24 aliasing lines each
+            line_addr = rng.randrange(16) + l2_sets * rng.randrange(24)
+        else:
+            line_addr = rng.randrange(1 << 16)
+        stream.append(line_addr * line + rng.randrange(line))
+    program = assemble("halt\n", name="replay")
+    _assert_line_replay_matches(
+        program, WarmupState(mem_addresses=tuple(stream)), "random stream",
+    )
