@@ -189,26 +189,23 @@ def replay_entry(entry: CorpusEntry) -> Tuple[bool, str]:
     import dataclasses
 
     from ..errors import ReproError
-    from ..uarch.core import set_engine_mode
+    from ..uarch import core
     from .engine import execute_spec
     from .oracles import ORACLES
 
     oracle = ORACLES.get(entry.oracle)
     if oracle is None:
         return False, f"unknown oracle {entry.oracle!r}"
+    saved = core._mode_override  # the caller's override, restored below
     try:
-        set_engine_mode("episode")
-        try:
-            episode = execute_spec(entry.program)
-        finally:
-            set_engine_mode(None)
-        set_engine_mode("reference")
-        try:
-            reference = execute_spec(entry.program)
-        finally:
-            set_engine_mode(None)
+        core.set_engine_mode("episode")
+        episode = execute_spec(entry.program)
+        core.set_engine_mode("reference")
+        reference = execute_spec(entry.program)
     except ReproError as exc:
         return False, f"crashed: {exc}"
+    finally:
+        core.set_engine_mode(saved)
     if (dataclasses.asdict(episode.stats)
             != dataclasses.asdict(reference.stats)):
         return False, "episode/reference engine stats diverged"

@@ -204,15 +204,19 @@ def minimize(
     spec: ProgramSpec,
     still_interesting: Callable[[ProgramSpec], Optional[str]],
     max_steps: int = 160,
+    detail: Optional[str] = None,
 ) -> Tuple[ProgramSpec, str, int]:
     """Greedy descent: accept the first simpler neighbour that still
     fires, restart from it, stop at a fixpoint or the execution cap.
 
+    ``detail`` is what ``still_interesting(spec)`` returns, when the
+    caller already has it; otherwise ``spec`` is checked first.
     Returns ``(minimized_spec, final_detail, executions_used)``.
     """
-    detail = still_interesting(spec)
     if detail is None:
-        raise ValueError("minimize() called on an uninteresting spec")
+        detail = still_interesting(spec)
+        if detail is None:
+            raise ValueError("minimize() called on an uninteresting spec")
     executions = 0
     progress = True
     while progress and executions < max_steps:
@@ -293,7 +297,8 @@ def run_fuzz(
                 return None
 
         minimized, detail, used = minimize(
-            spec, still_interesting, max_steps=config.minimize_steps
+            spec, still_interesting, max_steps=config.minimize_steps,
+            detail=outcomes[0].detail,
         )
         report.executions += used
         name = survivor_name(oracle, minimized)

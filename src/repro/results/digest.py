@@ -30,7 +30,11 @@ from ..uarch.core import ENGINE_SCHEMA_VERSION
 
 
 def _canonical(obj: Any) -> Any:
-    """Recursively convert to JSON-encodable data with deterministic order."""
+    """Recursively convert to JSON-encodable data with deterministic order.
+
+    A dataclass becomes the dict of its fields, walked in place: the
+    same data ``dataclasses.asdict`` gives, without its deep copies.
+    """
     if isinstance(obj, enum.Enum):
         return obj.value
     if isinstance(obj, dict):
@@ -40,7 +44,10 @@ def _canonical(obj: Any) -> Any:
     if isinstance(obj, (list, tuple)):
         return [_canonical(v) for v in obj]
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        return _canonical(dataclasses.asdict(obj))
+        return {
+            f.name: _canonical(getattr(obj, f.name))
+            for f in dataclasses.fields(obj)
+        }
     return obj
 
 

@@ -10,14 +10,24 @@ the hot loop is just ``pc = handlers[pc](regs, view, out)``.
 
 A few per-pc patches adapt those handlers to whole-program execution:
 ``halt`` raises :class:`_Halt` (the engine stops before executing it),
-``ret`` faults on a negative target (a list index would wrap), and
-block-end handlers count basic-block executions when profiling.
+``ret`` to a negative target ends the run so that the next fetch faults
+(a list index would wrap), and block-end handlers count basic-block
+executions when profiling.  Two more serve callers that follow a run
+instruction by instruction without a per-instruction hook:
+
+* **breakpoints**, a set of pcs after which :meth:`FastForwardExecutor.run`
+  returns (the instruction is executed and counted; the run does not
+  halt, and ``stopped_at`` names the pc), and
+* an **access observer**, called with ``(addr, size, is_store)`` before
+  each load and store, wired into the memory view the handlers see.
 
 On top of the raw interpreter this module provides the sampling
 infrastructure: basic-block-vector (BBV) interval profiling,
 architectural checkpoints, and bounded functional-warmup recording
-(recent data addresses + branch outcomes) for replay into the detailed
-engine's caches and branch predictor.
+(recent data addresses + branch outcomes, the recorder being one access
+observer) for replay into the detailed engine's caches and branch
+predictor.  Table 3's TLS task traces (:mod:`repro.tls.common`) use the
+breakpoints and the observer.
 
 A differential test (``tests/test_sampling_fastforward.py``) pins the
 executor against the golden :class:`~repro.uarch.executor.Executor` on
@@ -28,8 +38,10 @@ and fault text.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass, field
+from typing import (
+    Callable, Collection, Dict, List, Optional, Sequence, Tuple,
+)
 
 from ..errors import ExecutionError
 from ..isa.instructions import Opcode
@@ -44,6 +56,20 @@ class _Halt(Exception):
 
     def __init__(self, pc: int):
         self.pc = pc
+
+
+class _Stop(Exception):
+    """Raised after a patched handler's instruction executed: ends the run.
+
+    ``pc`` is the next pc.  ``at`` is the breakpoint that stopped the run,
+    or ``None`` for a ``ret`` to a negative address: that fault belongs to
+    the next fetch, which (as in the golden executor) comes after the
+    budget check.
+    """
+
+    def __init__(self, pc: int, at: Optional[int]):
+        self.pc = pc
+        self.at = at
 
 
 # ---------------------------------------------------------------------------
@@ -126,6 +152,29 @@ class WarmupState:
     mem_addresses: Tuple[int, ...] = ()           # last-touch order, oldest 1st
     cond_branches: Tuple[Tuple[int, bool], ...] = ()   # (pc, taken)
     branch_targets: Tuple[Tuple[int, int], ...] = ()   # (pc, actual target)
+    # line size -> lines(line size); both machines of a sampling plan
+    # replay the same record, so the second one reads the first's order.
+    _lines: Dict[int, Tuple[int, ...]] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
+
+    def lines(self, line_size: int) -> Tuple[int, ...]:
+        """Distinct data lines in last-touch order, oldest first.
+
+        An LRU set's contents and order depend only on each line's last
+        touch, and every later stamp exceeds every earlier one, so
+        inserting each line once, at its last touch, leaves the same sets
+        as replaying every address: at a cost per line.  Memoized per
+        line size on the record itself.
+        """
+        order = self._lines.get(line_size)
+        if order is None:
+            newest_first = dict.fromkeys(
+                addr // line_size for addr in reversed(self.mem_addresses)
+            )
+            order = tuple(reversed(newest_first))
+            self._lines[line_size] = order
+        return order
 
 
 @dataclass
@@ -152,6 +201,10 @@ class Checkpoint:
 # ---------------------------------------------------------------------------
 
 
+# Called before each load and store with ``(addr, size, is_store)``.
+AccessObserver = Callable[[int, int, bool], None]
+
+
 class _View:
     """The memory view fastpath handlers call."""
 
@@ -162,6 +215,18 @@ class _View:
         self.store = store
 
 
+def _observed_view(memory: SparseMemory, observe: AccessObserver) -> _View:
+    def load(addr, size, _o=observe, _l=memory.load):
+        _o(addr, size, False)
+        return _l(addr, size)
+
+    def store(addr, size, value, _o=observe, _s=memory.store):
+        _o(addr, size, True)
+        _s(addr, size, value)
+
+    return _View(load, store)
+
+
 def _halt(pc: int):
     # A fresh exception per halt: one kept in the handler would keep its
     # traceback, and with it the caller's frames and their locals, alive.
@@ -170,14 +235,20 @@ def _halt(pc: int):
     return h
 
 
-def _checked_ret(inner, name: str):
-    # Guard against negative return addresses explicitly: Python list
-    # indexing would silently wrap them instead of faulting.
-    def h(regs, view, out, _i=inner, _name=name):
+def _checked_ret(inner):
+    # Python list indexing would silently wrap a negative return address,
+    # so the run ends here and the next fetch faults on the pc.
+    def h(regs, view, out, _i=inner):
         target = _i(regs, view, out)
         if target < 0:
-            raise ExecutionError(f"pc {target} out of range in {_name}")
+            raise _Stop(target, None)
         return target
+    return h
+
+
+def _breakpoint(inner, pc: int):
+    def h(regs, view, out, _i=inner, _p=pc):
+        raise _Stop(_i(regs, view, out), _p)
     return h
 
 
@@ -213,7 +284,8 @@ class _WarmupRecorder:
         self.conds: deque = deque(maxlen=depth)
         self.targets: deque = deque(maxlen=depth)
 
-    def touch(self, addr: int) -> None:
+    def touch(self, addr: int, size: int, is_store: bool) -> None:
+        """The access observer: records ``addr`` as the newest touch."""
         mem = self.mem
         if addr in mem:
             del mem[addr]
@@ -242,7 +314,13 @@ class FastForwardExecutor:
         collect_bbv: wrap block-end closures with basic-block counting
             (adds one indirection per *block*, not per instruction).
         record_warmup: keep bounded recent data addresses and branch
-            outcomes for checkpoint warmup (0 disables recording).
+            outcomes for checkpoint warmup (0 disables recording).  The
+            recorder is the run's access observer.
+        breakpoints: pcs after which :meth:`run` returns, their
+            instruction executed and counted; ``stopped_at`` then names
+            the pc.  A breakpoint does not halt the program.
+        observe: the access observer, called before each load and store
+            with ``(addr, size, is_store)``.
     """
 
     def __init__(
@@ -252,6 +330,8 @@ class FastForwardExecutor:
         initial_regs: Optional[Dict[str, float]] = None,
         collect_bbv: bool = False,
         record_warmup: int = 0,
+        breakpoints: Collection[int] = (),
+        observe: Optional[AccessObserver] = None,
     ):
         self.program = program
         self.memory = memory if memory is not None else SparseMemory()
@@ -261,43 +341,35 @@ class FastForwardExecutor:
         self.pc = 0
         self.icount = 0
         self.halted = False
+        self.stopped_at: Optional[int] = None
         self.blocks = basic_blocks(program) if collect_bbv else None
         self._block_counts: List[int] = (
             [0] * len(self.blocks.leaders) if self.blocks else []
         )
-        self._recorder = (
-            _WarmupRecorder(record_warmup, self.memory.written_addresses())
-            if record_warmup > 0 else None
+        self._recorder = None
+        if record_warmup > 0:
+            if observe is not None:
+                raise ValueError("warm-up recording is the access observer")
+            self._recorder = _WarmupRecorder(
+                record_warmup, self.memory.written_addresses()
+            )
+            observe = self._recorder.touch
+        self._view = (
+            _View(self.memory.load, self.memory.store) if observe is None
+            else _observed_view(self.memory, observe)
         )
-        if self._recorder is not None:
-            base_load = self.memory.load
-            base_store = self.memory.store
-            rec = self._recorder.touch
-
-            def load(addr, size, _r=rec, _l=base_load):
-                _r(addr)
-                return _l(addr, size)
-
-            def store(addr, size, value, _r=rec, _s=base_store):
-                _r(addr)
-                _s(addr, size, value)
-
-            self._view = _View(load, store)
-        else:
-            self._view = _View(self.memory.load, self.memory.store)
         self._out = [None, None]
-        self._handlers = self._compile(collect_bbv)
+        self._handlers = self._compile(collect_bbv, breakpoints)
 
-    def _compile(self, collect_bbv: bool):
+    def _compile(self, collect_bbv: bool, breakpoints: Collection[int]):
         handlers = list(fast_program(self.program).handlers)
-        name = self.program.name
         recorder = self._recorder
         for pc, instr in enumerate(self.program.instructions):
             op = instr.opcode
             if op is Opcode.HALT:
                 handlers[pc] = _halt(pc)
             elif op is Opcode.RET:
-                handlers[pc] = _checked_ret(handlers[pc], name)
+                handlers[pc] = _checked_ret(handlers[pc])
             elif recorder is None:
                 continue
             elif op is Opcode.BEQZ or op is Opcode.BNEZ:
@@ -321,6 +393,10 @@ class FastForwardExecutor:
                     return _i(regs, view, out)
 
                 handlers[end] = counted
+        for pc in breakpoints:
+            if not 0 <= pc < len(handlers):
+                raise ValueError(f"breakpoint pc {pc} out of range")
+            handlers[pc] = _breakpoint(handlers[pc], pc)
         return handlers
 
     # -- execution ----------------------------------------------------------
@@ -329,8 +405,12 @@ class FastForwardExecutor:
         """Execute up to ``max_instructions``; returns the number executed.
 
         Stops early on ``halt`` (which counts as one executed instruction,
-        matching :class:`~repro.uarch.executor.Executor`).
+        matching :class:`~repro.uarch.executor.Executor`) and after a
+        breakpoint.  As in that executor, a pc out of range faults when
+        it is fetched, so a run that leaves one behind returns normally
+        and the next run raises.
         """
+        self.stopped_at = None
         if self.halted or max_instructions <= 0:
             return 0
         handlers = self._handlers
@@ -338,11 +418,17 @@ class FastForwardExecutor:
         view = self._view
         out = self._out
         pc = self.pc
+        if not 0 <= pc < len(handlers):
+            raise ExecutionError(f"pc {pc} out of range in {self.program.name}")
         executed = 0
         try:
             while executed < max_instructions:
                 pc = handlers[pc](regs, view, out)
                 executed += 1
+        except _Stop as stop:
+            pc = stop.pc
+            executed += 1
+            self.stopped_at = stop.at
         except _Halt as halt:
             pc = halt.pc
             executed += 1
@@ -351,16 +437,16 @@ class FastForwardExecutor:
             raise ExecutionError(
                 f"pc {pc} out of range in {self.program.name}"
             ) from None
-        if not self.halted and not 0 <= pc < len(self._handlers):
-            # A ``ret`` past the end lands here at the window edge.
-            raise ExecutionError(f"pc {pc} out of range in {self.program.name}")
         self.pc = pc
         self.icount += executed
         return executed
 
     def run_to(self, target_icount: int) -> int:
         """Fast-forward until ``icount == target_icount`` (exact)."""
-        executed = self.run(target_icount - self.icount)
+        start = self.icount
+        while self.icount < target_icount and not self.halted:
+            self.run(target_icount - self.icount)
+        executed = self.icount - start
         if self.icount < target_icount and self.halted:
             raise ExecutionError(
                 f"{self.program.name} halted at {self.icount} instructions, "

@@ -7,6 +7,14 @@ ordered tasks, each carrying its instruction count and read/write sets.
 The scheme models then schedule those tasks onto their processing units
 with the scheme's own overheads and conflict rules.
 
+The functional run is the fast-forward executor
+(:class:`~repro.sampling.fastforward.FastForwardExecutor`), i.e. the
+detailed engine's compiled handlers: it stops after every hint and
+reports each load and store to an access observer, so no hook runs per
+instruction.  The golden functional executor (``Executor``) stays the
+oracle: ``tests/test_tls.py`` checks every spec2017 and spec2006 phase's
+trace against one cut from that executor's per-instruction trace hook.
+
 This granularity is exactly what table 3 compares (speedup, core count,
 area, task sizes); pipeline-level detail of 1995/2005-era cores is out of
 scope and would not change the comparison axes.
@@ -17,9 +25,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List, Optional, Set
 
+from ..errors import ExecutionError
 from ..isa.instructions import Opcode
 from ..isa.program import Program
-from ..uarch.executor import Executor
+from ..sampling.fastforward import FastForwardExecutor
 from ..uarch.memory_state import SparseMemory
 
 
@@ -65,45 +74,56 @@ def extract_tasks(
     Task boundaries follow the LoopFrog region semantics: inside an
     annotated loop each iteration (ending at its ``reattach``) is one
     parallel task; code outside annotated loops accumulates into serial
-    tasks.
+    tasks.  A hint belongs to the task it closes, and the final ``halt``
+    to none.  ``memory`` is mutated in place.  Faults and an exhausted
+    budget raise the golden executor's :class:`ExecutionError` text.
     """
-    executor = Executor(program, memory)
-    if initial_regs:
-        executor.regs.update(initial_regs)
-
+    hints = {
+        pc: (instr.opcode, instr.region_index)
+        for pc, instr in enumerate(program.instructions)
+        if instr.is_hint
+    }
     tasks: List[Task] = []
     current = Task(0, 0)
-    region: Optional[int] = None
+    start = 0  # icount at which ``current`` began
 
-    def close(parallel_next: bool) -> None:
-        nonlocal current
+    def observe(addr: int, size: int, is_store: bool) -> None:
+        target = current.writes if is_store else current.reads
+        target.update(range(
+            addr // granule_bytes, (addr + size - 1) // granule_bytes + 1
+        ))
+
+    ff = FastForwardExecutor(
+        program, memory, initial_regs, breakpoints=hints, observe=observe
+    )
+
+    def close(end: int, parallel_next: bool) -> None:
+        nonlocal current, start
+        current.instructions = end - start
         if current.instructions:
             tasks.append(current)
         current = Task(len(tasks), 0, parallel=parallel_next)
+        start = end
 
-    def hook(pc, instr, result):
-        nonlocal region
-        current.instructions += 1
-        if result.mem_addr is not None:
-            g0 = result.mem_addr // granule_bytes
-            g1 = (result.mem_addr + result.mem_size - 1) // granule_bytes
-            target = current.writes if instr.is_store else current.reads
-            target.update(range(g0, g1 + 1))
-        if not instr.is_hint:
-            return
-        op = instr.opcode
+    region: Optional[int] = None
+    while not ff.halted:
+        if ff.icount >= max_instructions:
+            raise ExecutionError(
+                f"{program.name} exceeded {max_instructions} instructions"
+            )
+        ff.run(max_instructions - ff.icount)
+        if ff.stopped_at is None:
+            continue
+        op, index = hints[ff.stopped_at]
         if op is Opcode.DETACH and region is None:
-            region = instr.region_index
-            close(parallel_next=True)
-        elif op is Opcode.REATTACH and region == instr.region_index:
-            close(parallel_next=True)
-        elif op is Opcode.SYNC and region == instr.region_index:
+            region = index
+            close(ff.icount, parallel_next=True)
+        elif op is Opcode.REATTACH and region == index:
+            close(ff.icount, parallel_next=True)
+        elif op is Opcode.SYNC and region == index:
             region = None
-            close(parallel_next=False)
-
-    executor._trace_hook = hook
-    executor.run(max_instructions=max_instructions)
-    close(parallel_next=False)
+            close(ff.icount, parallel_next=False)
+    close(ff.icount - 1, parallel_next=False)
     return TaskTrace(tasks)
 
 

@@ -451,31 +451,21 @@ class Engine:
         """Replay recorded functional history into the timing structures.
 
         ``warmup`` is a :class:`repro.sampling.fastforward.WarmupState`
-        (duck-typed: anything with ``mem_addresses``, ``cond_branches``,
-        ``branch_targets``).  Data lines are replayed into L1D+L2 in
-        last-touch order, so LRU replacement leaves each set holding its
-        most recently used lines — reconstructing the cache contents of a
-        continuous run at this point.  Branch targets fill the BTB and
-        conditional outcomes train the TAGE tables through the normal
-        predict/update path.  The program text is warmed like
-        steady-state fetch leaves it.  Windows use this INSTEAD of the
-        constructor's ``warm_caches`` whole-working-set warming (which
-        models program *entry*, not a mid-program cut).  Must be called
-        before the first :meth:`step`.
-
-        The record holds byte addresses, so one record serves any line
-        size.  An LRU set's contents and order depend only on each
-        line's last touch, and every later stamp exceeds every earlier
-        one, so each distinct line is inserted once, at its last touch:
-        the same sets a per-address replay leaves, at a cost per line.
+        (duck-typed: anything with ``lines(line_size)``,
+        ``cond_branches``, ``branch_targets``).  Data lines are replayed
+        into L1D+L2 in last-touch order, each distinct line once, so LRU
+        replacement leaves each set holding its most recently used lines
+        — reconstructing the cache contents of a continuous run at this
+        point.  Branch targets fill the BTB and conditional outcomes train
+        the TAGE tables through the normal predict/update path.  The
+        program text is warmed like steady-state fetch leaves it.  Windows
+        use this INSTEAD of the constructor's ``warm_caches``
+        whole-working-set warming (which models program *entry*, not a
+        mid-program cut).  Must be called before the first :meth:`step`.
         """
-        line = self.machine.memory.line_size
         l2_insert = self.hierarchy.l2.insert
         l1d_insert = self.hierarchy.l1d.insert
-        newest_first = dict.fromkeys(
-            addr // line for addr in reversed(warmup.mem_addresses)
-        )
-        for line_addr in reversed(newest_first):
+        for line_addr in warmup.lines(self.machine.memory.line_size):
             l2_insert(line_addr)
             l1d_insert(line_addr)
         self._warm_text()

@@ -177,6 +177,22 @@ def test_session_byte_reproducible(session_report, tmp_path):
         assert (dir_a / name).read_bytes() == (dir_b / name).read_bytes()
 
 
+def test_session_executes_each_counted_program_once(session_report,
+                                                   monkeypatch):
+    # Every engine run is one of the report's executions: minimize()
+    # starts from the detail the session already has.
+    from repro.fuzz import engine as fuzz_engine
+
+    calls = []
+    execute = fuzz_engine.execute_spec
+    monkeypatch.setattr(fuzz_engine, "execute_spec",
+                        lambda spec: calls.append(spec) or execute(spec))
+    report = run_fuzz(SESSION_CONFIG)
+    assert report.survivors  # minimize() ran
+    assert len(calls) == report.executions
+    assert report.to_dict() == session_report.to_dict()
+
+
 def test_session_counts_are_consistent(session_report):
     report = session_report
     assert report.cases == SESSION_CONFIG.budget

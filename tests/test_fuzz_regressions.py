@@ -26,7 +26,7 @@ from repro.fuzz.corpus import (
 )
 from repro.fuzz.engine import execute_spec
 from repro.fuzz.oracles import ORACLES
-from repro.uarch.core import set_engine_mode
+from repro.uarch.core import engine_mode, set_engine_mode
 
 CORPUS_DIR = os.path.join(os.path.dirname(__file__), "fuzz_corpus")
 
@@ -125,3 +125,18 @@ def test_replay_reports_engine_parity():
     episode = execute_spec(entry.program)
     assert episode.stats.cycles == reference.stats.cycles
     assert episode.frog_image == reference.frog_image
+
+
+@pytest.mark.parametrize("mode", [None, "reference", "episode"])
+def test_replay_restores_the_callers_engine_mode(mode, monkeypatch):
+    monkeypatch.setenv("REPRO_ENGINE_MODE", "reference")
+    set_engine_mode(mode)
+    try:
+        before = engine_mode()
+        replay_entry(ENTRIES[0])
+        assert engine_mode() == before
+        # An unset override stays unset: the environment still decides.
+        monkeypatch.setenv("REPRO_ENGINE_MODE", "episode")
+        assert engine_mode() == (mode or "episode")
+    finally:
+        set_engine_mode(None)

@@ -81,3 +81,45 @@ def test_digests_are_memoised_consistently():
     assert workload_digest(wl) == workload_digest(wl)
     assert machine_digest(machine) == machine_digest(machine)
     assert run_digest(wl, machine) == run_digest(wl, machine)
+
+
+def _canonical_via_asdict(obj):
+    """The canonical form as first defined: ``dataclasses.asdict`` (deep
+    copies included), then the dict, list and enum rules."""
+    import dataclasses
+    import enum
+
+    if isinstance(obj, enum.Enum):
+        return obj.value
+    if isinstance(obj, dict):
+        items = [(_canonical_via_asdict(k), _canonical_via_asdict(v))
+                 for k, v in obj.items()]
+        items.sort(key=lambda kv: str(kv[0]))
+        return {str(k): v for k, v in items}
+    if isinstance(obj, (list, tuple)):
+        return [_canonical_via_asdict(v) for v in obj]
+    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+        return _canonical_via_asdict(dataclasses.asdict(obj))
+    return obj
+
+
+def test_canonical_form_walks_fields_like_asdict():
+    import json
+
+    from repro.experiments import registry
+    from repro.experiments.spec import plan_spec
+    from repro.results.digest import _canonical
+    from repro.sampling import SamplingConfig
+
+    configs = [SamplingConfig()]
+    for spec in registry.specs():
+        for cell in plan_spec(spec):
+            configs.extend(
+                m for m in (cell.machine, cell.baseline) if m is not None
+            )
+    assert len(configs) > 60
+    for config in configs:
+        walked, copied = _canonical(config), _canonical_via_asdict(config)
+        assert walked == copied
+        assert (json.dumps(walked, sort_keys=True, separators=(",", ":"))
+                == json.dumps(copied, sort_keys=True, separators=(",", ":")))

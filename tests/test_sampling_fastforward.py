@@ -285,3 +285,108 @@ def test_line_replay_matches_per_address_replay_on_retouched_lines():
     _assert_line_replay_matches(
         program, WarmupState(mem_addresses=tuple(stream)), "random stream",
     )
+
+
+def test_warmup_line_order_is_computed_once_per_line_size():
+    record = WarmupState(mem_addresses=(0, 70, 8, 130, 64, 1))
+    assert record.lines(64) == (2, 1, 0)
+    assert record.lines(64) is record.lines(64)
+    assert record.lines(128) == (1, 0)
+    # The memo is no part of the record's value.
+    assert record == WarmupState(mem_addresses=(0, 70, 8, 130, 64, 1))
+
+
+# ---------------------------------------------------------------------------
+# Breakpoints and the access observer
+# ---------------------------------------------------------------------------
+
+
+def _golden_trace(program, seed):
+    """``(pc, next_pc, mem_addr, mem_size, is_store)`` per instruction the
+    golden executor retires (``mem_addr`` None off memory instructions)."""
+    seen = []
+    ex = Executor(
+        program, _fresh_memory(seed),
+        trace_hook=lambda pc, i, res: seen.append(
+            (pc, res.next_pc, res.mem_addr, res.mem_size, i.is_store)
+        ),
+    )
+    ex.regs.update(_initial_regs(seed))
+    ex.run()
+    return seen, ex
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_breakpoints_stop_after_their_instruction(seed):
+    # Break on every hint, branch and ``ret``: breakpoints wrap the other
+    # patches (the checked ``ret``, block counting) and stop after them.
+    program = _compiled(seed)
+    trace, ex = _golden_trace(program, seed)
+    breakpoints = {
+        pc for pc, instr in enumerate(program.instructions)
+        if instr.is_hint or instr.is_branch
+    }
+    expected = [
+        (n + 1, pc, nxt)
+        for n, (pc, nxt, _, _, _) in enumerate(trace) if pc in breakpoints
+    ]
+    assert expected, f"seed {seed}: no breakpoint reached"
+
+    ff = FastForwardExecutor(
+        program, _fresh_memory(seed), _initial_regs(seed),
+        collect_bbv=True, breakpoints=breakpoints,
+    )
+    stops = []
+    while not ff.halted:
+        ff.run(1_000_000)
+        if ff.stopped_at is not None:
+            assert not ff.halted
+            stops.append((ff.icount, ff.stopped_at, ff.pc))
+    assert stops == expected
+    assert ff.icount == ex.instruction_count
+    assert ff.regs == ex.regs
+    assert ff.memory.image() == ex.memory.image()
+    plain = FastForwardExecutor(
+        program, _fresh_memory(seed), _initial_regs(seed), collect_bbv=True
+    )
+    plain.run_to_halt()
+    assert ff.take_block_counts() == plain.take_block_counts()
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_access_observer_sees_every_load_and_store(seed):
+    program = _compiled(seed)
+    trace, _ = _golden_trace(program, seed)
+    expected = [(a, z, st) for _, _, a, z, st in trace if a is not None]
+    seen = []
+    ff = FastForwardExecutor(
+        program, _fresh_memory(seed), _initial_regs(seed),
+        observe=lambda addr, size, is_store: seen.append(
+            (addr, size, is_store)
+        ),
+    )
+    ff.run_to_halt()
+    assert seen == expected
+
+
+def test_one_access_observer_and_breakpoints_in_range():
+    program = _compiled(0)
+    with pytest.raises(ValueError, match="access observer"):
+        FastForwardExecutor(program, record_warmup=8,
+                            observe=lambda a, z, s: None)
+    with pytest.raises(ValueError, match="breakpoint pc"):
+        FastForwardExecutor(program, breakpoints=[len(program)])
+
+
+@pytest.mark.parametrize("name", sorted(FAULTING_PROGRAMS))
+@pytest.mark.parametrize("budget", [1, 2, 3])
+def test_fast_forward_budget_precedes_the_next_fetch(name, budget):
+    """As in the golden executor, the budget is checked before the next
+    fetch: a bad pc left by the last budgeted instruction reports the
+    budget, and every handler fault keeps its own text."""
+    program = assemble(FAULTING_PROGRAMS[name], name=name)
+    with pytest.raises(ExecutionError) as golden:
+        Executor(program).run(max_instructions=budget)
+    with pytest.raises(ExecutionError) as fast:
+        FastForwardExecutor(program).run_to_halt(max_instructions=budget)
+    assert str(fast.value) == str(golden.value)

@@ -1,17 +1,26 @@
 """Tests for the classic-TLS models used in the table-3 comparison."""
 
+from typing import List, Optional
+
+import pytest
 
 from repro.compiler import compile_frog
+from repro.errors import ExecutionError
+from repro.isa import assemble
+from repro.isa.instructions import Opcode
 from repro.tls import (
     MultiscalarConfig,
     StampedeConfig,
     Task,
+    TaskTrace,
     conflicts_with,
     extract_tasks,
     simulate_multiscalar,
     simulate_stampede,
 )
 from repro.uarch import SparseMemory
+from repro.uarch.executor import Executor
+from repro.workloads.suites import suite
 
 
 PARALLEL = """
@@ -194,3 +203,201 @@ def test_scheme_configs_match_table3_rows():
     assert MultiscalarConfig().area_factor == 8.0
     assert StampedeConfig().num_cores == 4
     assert StampedeConfig().area_factor > 4.0
+
+
+# ---------------------------------------------------------------------------
+# Parity with the golden executor
+# ---------------------------------------------------------------------------
+
+
+def golden_tasks(
+    program,
+    memory=None,
+    initial_regs=None,
+    granule_bytes=8,
+    max_instructions=5_000_000,
+) -> TaskTrace:
+    """The task trace cut from the golden executor's per-instruction trace
+    hook: every retired instruction joins the current task, its memory
+    granules join the task's read or write set, and a hint of the open
+    region closes the task after joining it.  ``halt`` is never hooked."""
+    executor = Executor(program, memory)
+    if initial_regs:
+        executor.regs.update(initial_regs)
+    tasks: List[Task] = []
+    current = Task(0, 0)
+    region: Optional[int] = None
+
+    def close(parallel_next):
+        nonlocal current
+        if current.instructions:
+            tasks.append(current)
+        current = Task(len(tasks), 0, parallel=parallel_next)
+
+    def hook(pc, instr, result):
+        nonlocal region
+        current.instructions += 1
+        if result.mem_addr is not None:
+            g0 = result.mem_addr // granule_bytes
+            g1 = (result.mem_addr + result.mem_size - 1) // granule_bytes
+            target = current.writes if instr.is_store else current.reads
+            target.update(range(g0, g1 + 1))
+        op = instr.opcode
+        if op is Opcode.DETACH and region is None:
+            region = instr.region_index
+            close(parallel_next=True)
+        elif op is Opcode.REATTACH and region == instr.region_index:
+            close(parallel_next=True)
+        elif op is Opcode.SYNC and region == instr.region_index:
+            region = None
+            close(parallel_next=False)
+
+    executor._trace_hook = hook
+    executor.run(max_instructions=max_instructions)
+    close(parallel_next=False)
+    return TaskTrace(tasks)
+
+
+def _suite_phases():
+    for suite_name in ("spec2017", "spec2006"):
+        for benchmark in suite(suite_name):
+            for workload, _ in benchmark.phases:
+                yield workload
+
+
+def test_task_traces_match_golden_executor_on_every_suite_phase():
+    phases = 0
+    for workload in _suite_phases():
+        memory, regs = workload.fresh_input()
+        trace = extract_tasks(workload.program, memory, regs)
+        golden_memory, golden_regs = workload.fresh_input()
+        golden = golden_tasks(workload.program, golden_memory, golden_regs)
+        assert trace.tasks == golden.tasks, workload.name
+        assert trace.parallel_tasks, workload.name
+        # The run mutates the caller's memory in place, as it always did.
+        assert memory.image() == golden_memory.image(), workload.name
+        phases += 1
+    assert phases == 44
+
+
+def _assert_same_outcome(program, **kwargs):
+    """Both cuts give the same tasks, or raise the same error text."""
+    try:
+        golden = golden_tasks(program, SparseMemory(), **kwargs)
+    except ExecutionError as exc:
+        with pytest.raises(ExecutionError) as raised:
+            extract_tasks(program, SparseMemory(), **kwargs)
+        assert str(raised.value) == str(exc)
+        return None
+    trace = extract_tasks(program, SparseMemory(), **kwargs)
+    assert trace.tasks == golden.tasks
+    return trace
+
+
+FAULT_IN_LOOP = """
+fn main(dst: ptr<int>, n: int, d: int) {
+    #pragma loopfrog
+    for (var i: int = 0; i < n; i = i + 1) {
+        dst[i] = 100 / (d - i);
+    }
+}
+"""
+
+
+def test_fault_inside_annotated_loop_keeps_executor_text():
+    program = compile_frog(FAULT_IN_LOOP).program
+    regs = {"r1": 1000, "r2": 8, "r3": 5}
+    with pytest.raises(ExecutionError, match="division by zero at pc="):
+        extract_tasks(program, SparseMemory(), regs)
+    assert _assert_same_outcome(program, initial_regs=regs) is None
+
+
+def test_exhausted_budget_keeps_executor_text():
+    program = compile_frog(PARALLEL).program
+    regs = {"r1": 1000, "r2": 2000, "r3": 32}
+    total = sum(t.instructions for t in golden_tasks(
+        program, SparseMemory(), regs).tasks) + 1  # + the halt
+    for budget in (1, 57, total - 1):
+        with pytest.raises(
+            ExecutionError, match=f"exceeded {budget} instructions"
+        ):
+            extract_tasks(program, SparseMemory(), regs,
+                          max_instructions=budget)
+        _assert_same_outcome(program, initial_regs=regs,
+                             max_instructions=budget)
+    # The halt is the last budgeted instruction: no error.
+    _assert_same_outcome(program, initial_regs=regs, max_instructions=total)
+
+
+@pytest.mark.parametrize("source, budget", [
+    ("li ra, -3\nret\nhalt\n", 2),
+    ("li ra, -3\nret\nhalt\n", 3),
+    ("li ra, 10\nret\nhalt\n", 2),
+    ("li ra, 10\nret\nhalt\n", 3),
+    ("li r1, 1\nadd r1, r1, 1\n", 2),
+    ("li r1, 1\nadd r1, r1, 1\n", 3),
+])
+def test_bad_pc_and_budget_keep_executor_precedence(source, budget):
+    # The golden executor checks the budget before it fetches, so a pc
+    # left out of range by the last budgeted instruction reports the
+    # budget; with budget to spare it reports the pc.
+    _assert_same_outcome(assemble(source, name="edge"),
+                         max_instructions=budget)
+
+
+def test_final_task_ends_at_halt_without_it():
+    source = """
+    fn main(dst: ptr<int>, n: int) -> int {
+        var s: int = 0;
+        #pragma loopfrog
+        for (var i: int = 0; i < n; i = i + 1) {
+            dst[i] = i;
+        }
+        for (var j: int = 0; j < n; j = j + 1) {
+            s = s + dst[j];
+        }
+        return s;
+    }
+    """
+    program = compile_frog(source).program
+    trace = _assert_same_outcome(program, initial_regs={"r1": 1000, "r2": 8})
+    last = trace.tasks[-1]
+    assert not last.parallel and last.reads
+    executor = Executor(program, SparseMemory())
+    executor.regs.update({"r1": 1000, "r2": 8})
+    ran = executor.run().instructions
+    assert trace.total_instructions == ran - 1  # the halt joins no task
+
+
+OTHER_REGION = """
+    li r2, 3
+    li r1, 1000
+loop:
+    detach cont
+    store r2, r1, 0
+    detach other        ; nested: the open region stays cont
+    reattach other      ; another region's reattach closes nothing
+    load r3, r1, 8
+    reattach cont
+cont:
+    sub r2, r2, 1
+    add r1, r1, 16
+    bnez r2, loop
+    sync other          ; another region's sync closes nothing
+    sync cont
+other:
+    add r4, r4, 1
+    halt
+"""
+
+
+def test_hints_of_another_region_do_not_cut_tasks():
+    trace = _assert_same_outcome(assemble(OTHER_REGION, name="regions"))
+    parallel = trace.parallel_tasks
+    # One task per iteration, each holding its store, both foreign hints
+    # and its load.  The continuation and the next iteration's detach
+    # (the region is already open) join the next task.
+    assert [t.instructions for t in parallel[:3]] == [5, 9, 9]
+    assert all(len(t.writes) == 1 and len(t.reads) == 1
+               for t in parallel[:3])
+    assert not trace.tasks[-1].parallel
