@@ -7,13 +7,22 @@ minimizer is a greedy deterministic descent — so the same config replays
 to byte-identical survivors and corpus files, which is the contract
 ``repro fuzz`` advertises and the regression corpus relies on.
 
-Every candidate is compiled with the static dependence analysis attached,
-run once on the functional executor (golden model) and once on the
-LoopFrog core, then shown to the oracle registry
+Every generated case is compiled with the static dependence analysis
+attached, run once on the functional executor (golden model) and once on
+the LoopFrog core, then shown to the oracle registry
 (:mod:`repro.fuzz.oracles`).  A case that fires an oracle is *minimized*:
 structural simplifications first (drop loops, drop statements, remove
 nesting), numeric shrinking second (trip, stride, offset, scale,
 distance), each step kept only if the same oracle still fires.
+
+A minimization step asks one oracle, so it runs only what that oracle
+reads (:data:`~repro.fuzz.oracles.ORACLE_READS`): the LoopFrog core
+always, the functional executor and the memory images only for
+``state_divergence``, the static analysis only for the verdict oracles.
+Every candidate of a descent keeps the case's input seed, so the case's
+input is built once and each run gets a copy; and a candidate the descent
+meets again reuses its verdict.  Neither shortcut changes the descent,
+its execution count or the survivors: a session replays byte for byte.
 """
 
 from __future__ import annotations
@@ -23,16 +32,25 @@ import json
 import random
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, FrozenSet, List, Optional, Tuple
 
 from ..compiler import CompileOptions, compile_frog
-from ..errors import ReproError
+from ..errors import ExecutionError, ReproError
 from ..obs import metrics as _metrics
 from ..uarch import LoopFrogCore
 from ..uarch.executor import Executor
+from ..uarch.memory_state import SparseMemory
 from .model import LoopSpec, ProgramSpec, StmtSpec, generate_program
 from .mutators import apply_mutations
-from .oracles import ORACLES, FuzzCase, evaluate_case
+from .oracles import (
+    EVERYTHING,
+    IMAGES,
+    ORACLE_READS,
+    ORACLES,
+    VERDICTS,
+    FuzzCase,
+    evaluate_case,
+)
 
 # Bounds one candidate's execution so a pathological mutant cannot hang
 # the session (the model's size caps keep real cases far below this).
@@ -79,7 +97,7 @@ class FuzzReport:
     seed: int
     budget: int
     cases: int = 0
-    executions: int = 0        # including minimization re-runs
+    executions: int = 0        # candidates evaluated, minimization included
     crashes: int = 0
     survivors: List[Survivor] = field(default_factory=list)
     oracle_counts: Dict[str, int] = field(default_factory=dict)
@@ -108,33 +126,56 @@ class FuzzReport:
 # ---------------------------------------------------------------------------
 
 
-def execute_spec(spec: ProgramSpec) -> FuzzCase:
-    """Compile + run one candidate on both reference and timing models.
+def execute_spec(
+    spec: ProgramSpec,
+    reads: FrozenSet[str] = EVERYTHING,
+    inputs: Optional[Tuple[SparseMemory, Dict[str, int]]] = None,
+) -> FuzzCase:
+    """Compile + run one candidate: the LoopFrog core always, the rest
+    as ``reads`` asks.
+
+    ``reads`` holds the parts besides the SimStats that the caller's
+    oracles read (:data:`~repro.fuzz.oracles.ORACLE_READS`; default all):
+    ``IMAGES`` runs the functional executor and keeps both final memory
+    images, ``VERDICTS`` compiles with the static analysis attached.  A
+    part not run is ``None`` on the case.  ``inputs`` is
+    ``spec.fresh_input()`` when the caller has built it; each model runs
+    on its own copy of the memory.
 
     Raises :class:`~repro.errors.ReproError` on compile or runtime
     failure — the session records those as crashes.
     """
     source = spec.render()
+    images, verdicts = IMAGES in reads, VERDICTS in reads
     result = compile_frog(
-        source, CompileOptions(static_analysis=True, name="fuzz")
+        source, CompileOptions(static_analysis=verdicts, name="fuzz")
     )
-
-    # One input per execution: the executor runs on a copy, the engine on
-    # the original (both mutate their memory in place).
-    memory, regs = spec.fresh_input()
-    ex = Executor(result.program, memory.copy())
-    ex.regs.update(regs)
-    ex.run(max_instructions=CASE_MAX_INSTRUCTIONS)
+    memory, regs = inputs if inputs is not None else spec.fresh_input()
+    exec_image = frog_image = None
+    if images:
+        ex = Executor(result.program, memory.copy())
+        ex.regs.update(regs)
+        ex.run(max_instructions=CASE_MAX_INSTRUCTIONS)
+        exec_image = ex.memory.image()
 
     sim = LoopFrogCore().run(
-        result.program, memory, regs, max_cycles=CASE_MAX_CYCLES
+        result.program, memory.copy(), regs, max_cycles=CASE_MAX_CYCLES
     )
+    if images:
+        frog_image = sim.memory.image()
+    elif sim.instructions > CASE_MAX_INSTRUCTIONS:
+        # The core commits exactly the executor's instructions, HALT
+        # included: reject what the executor's budget would have.
+        raise ExecutionError(
+            f"{result.program.name} exceeded {CASE_MAX_INSTRUCTIONS} "
+            f"instructions"
+        )
     return FuzzCase(
         spec=spec,
         source=source,
-        compile_result=result,
-        exec_image=ex.memory.image(),
-        frog_image=sim.memory.image(),
+        compile_result=result if verdicts else None,
+        exec_image=exec_image,
+        frog_image=frog_image,
         stats=sim.stats,
     )
 
@@ -210,13 +251,17 @@ def minimize(
     fires, restart from it, stop at a fixpoint or the execution cap.
 
     ``detail`` is what ``still_interesting(spec)`` returns, when the
-    caller already has it; otherwise ``spec`` is checked first.
+    caller already has it; otherwise ``spec`` is checked first.  Each
+    distinct candidate is checked once: one the descent meets again (a
+    neighbour of an earlier spec too) reuses its verdict, and still
+    counts toward ``max_steps`` and the returned executions, as if it ran.
     Returns ``(minimized_spec, final_detail, executions_used)``.
     """
     if detail is None:
         detail = still_interesting(spec)
         if detail is None:
             raise ValueError("minimize() called on an uninteresting spec")
+    verdicts: Dict[ProgramSpec, Optional[str]] = {spec: detail}
     executions = 0
     progress = True
     while progress and executions < max_steps:
@@ -225,7 +270,9 @@ def minimize(
             if executions >= max_steps:
                 break
             executions += 1
-            new_detail = still_interesting(candidate)
+            if candidate not in verdicts:
+                verdicts[candidate] = still_interesting(candidate)
+            new_detail = verdicts[candidate]
             if new_detail is not None:
                 spec = candidate
                 detail = new_detail
@@ -242,6 +289,15 @@ def minimize(
 def _case_rng(seed: int, index: int) -> random.Random:
     # Stable across platforms/sessions: a pure integer mix, no hash().
     return random.Random((seed * 1_000_003 + index) & 0xFFFF_FFFF_FFFF)
+
+
+def session_case(config: FuzzConfig,
+                 index: int) -> Tuple[ProgramSpec, List[str]]:
+    """Case ``index`` of a session: ``(program, mutator names)``."""
+    rng = _case_rng(config.seed, index)
+    base = generate_program(rng)
+    count = rng.randint(0, config.max_mutations)
+    return apply_mutations(base, rng, count)
 
 
 def survivor_name(oracle: str, program: ProgramSpec) -> str:
@@ -262,14 +318,12 @@ def run_fuzz(
     start = time.perf_counter()
 
     for index in range(config.budget):
-        rng = _case_rng(config.seed, index)
-        base = generate_program(rng)
-        count = rng.randint(0, config.max_mutations)
-        spec, mutations = apply_mutations(base, rng, count)
+        spec, mutations = session_case(config, index)
         report.cases += 1
         report.executions += 1
+        inputs = spec.fresh_input()  # for the case and its descent
         try:
-            case = execute_spec(spec)
+            case = execute_spec(spec, inputs=inputs)
         except ReproError as exc:
             report.crashes += 1
             report.oracle_counts["crash"] = (
@@ -289,10 +343,11 @@ def run_fuzz(
         # File under the highest-severity firing oracle.
         oracle = outcomes[0].oracle
         oracle_fn = ORACLES[oracle]
+        reads = ORACLE_READS[oracle]
 
         def still_interesting(candidate: ProgramSpec) -> Optional[str]:
             try:
-                return oracle_fn(execute_spec(candidate))
+                return oracle_fn(execute_spec(candidate, reads, inputs))
             except ReproError:
                 return None
 
@@ -329,7 +384,8 @@ _metrics.register(
                         "Generated candidate programs in one session",
                         unit="programs", source="cases"),
     _metrics.MetricSpec("fuzz.session.executions", _metrics.COUNTER, "fuzz",
-                        "Programs executed, including minimization re-runs",
+                        "Candidate programs evaluated, minimization steps "
+                        "included",
                         unit="programs", source="executions"),
     _metrics.MetricSpec("fuzz.session.crashes", _metrics.COUNTER, "fuzz",
                         "Candidates that failed to compile or run",

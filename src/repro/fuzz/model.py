@@ -206,7 +206,8 @@ class ProgramSpec:
         return "\n".join(lines) + "\n"
 
     def fresh_input(self):
-        """``(memory, regs)`` for one run — deterministic in input_seed."""
+        """``(memory, regs)`` for this input seed (deterministic).  The
+        models mutate memory in place: each run takes its own copy."""
         from ..uarch.memory_state import SparseMemory
 
         rng = random.Random(self.input_seed)

@@ -4,7 +4,10 @@ Each oracle inspects one executed :class:`FuzzCase` — the compiled
 program (with static dependence verdicts attached), the functional
 executor's final memory image, and the LoopFrog core's final image and
 :class:`~repro.uarch.statistics.SimStats` — and returns a short
-deterministic detail string when it fires, ``None`` otherwise.
+deterministic detail string when it fires, ``None`` otherwise.  Every
+oracle reads the SimStats; :data:`ORACLE_READS` declares which of the
+other parts it reads, so a minimization step that only asks one oracle
+runs only those parts.
 
 The registry is ordered by severity: differential state divergence (an
 engine correctness bug) outranks analyzer/observed disagreements, which
@@ -16,7 +19,7 @@ highest-severity firing oracle.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, FrozenSet, List, Optional
 
 from ..compiler.depanal import VERDICT_INDEPENDENT, VERDICT_MUST_CONFLICT
 from .model import ProgramSpec
@@ -29,16 +32,27 @@ SQUASH_STORM_RATE = 0.6
 SILENT_MUST_CONFLICT_MIN_EPOCHS = 4
 
 
+# The parts of a run besides the LoopFrog core's SimStats, which every run
+# has: an oracle reads none, one or both (ORACLE_READS).
+IMAGES = "images"       # the functional executor run, both memory images
+VERDICTS = "verdicts"   # the static dependence analysis
+EVERYTHING: FrozenSet[str] = frozenset({IMAGES, VERDICTS})
+
+
 @dataclass
 class FuzzCase:
-    """Everything the oracles may inspect about one executed candidate."""
+    """Everything the oracles may inspect about one executed candidate.
+
+    A run scoped to one oracle leaves the parts that oracle does not read
+    ``None``.
+    """
 
     spec: ProgramSpec
     source: str
-    compile_result: object          # CompileResult (dependence + reports)
-    exec_image: Dict[int, int]      # functional executor final memory
-    frog_image: Dict[int, int]      # LoopFrog core final memory
-    stats: object                   # SimStats of the LoopFrog run
+    compile_result: Optional[object]      # CompileResult with VERDICTS
+    exec_image: Optional[Dict[int, int]]  # executor final memory (IMAGES)
+    frog_image: Optional[Dict[int, int]]  # LoopFrog final memory (IMAGES)
+    stats: object                         # SimStats of the LoopFrog run
 
 
 @dataclass(frozen=True)
@@ -169,6 +183,20 @@ ORACLES: Dict[str, Callable[[FuzzCase], Optional[str]]] = {
     "packing_pathology": packing_pathology,
     "squash_storm": squash_storm,
     "silent_must_conflict": silent_must_conflict,
+}
+
+
+# What each oracle reads besides the SimStats.  A minimization step runs
+# only this much of its candidate (execute_spec's ``reads``);
+# tests/test_fuzz_engine.py holds every oracle to its entry.
+ORACLE_READS: Dict[str, FrozenSet[str]] = {
+    "state_divergence": frozenset({IMAGES}),
+    "imprecise_verdict": frozenset({VERDICTS}),
+    "unsound_independent": frozenset({VERDICTS}),
+    "ssb_overflow": frozenset(),
+    "packing_pathology": frozenset(),
+    "squash_storm": frozenset(),
+    "silent_must_conflict": frozenset({VERDICTS}),
 }
 
 

@@ -1,10 +1,19 @@
-"""Tests for the performance-fuzzing harness (docs/workloads.md)."""
+"""Tests for the performance-fuzzing harness (docs/workloads.md).
 
+Run as a module (``PYTHONPATH=src python -m tests.test_fuzz_engine``) it
+rewrites ``tests/fuzz_session_pin.json``, the pinned session's report.
+"""
+
+import dataclasses
+import json
 import random
+import sys
+from pathlib import Path
 
 import pytest
 
-from repro.errors import FuzzError
+from repro.compiler import CompileOptions, compile_frog
+from repro.errors import ExecutionError, FuzzError, ReproError
 from repro.fuzz import (
     FuzzConfig,
     ORACLES,
@@ -13,7 +22,14 @@ from repro.fuzz import (
     run_fuzz,
     write_corpus,
 )
-from repro.fuzz.engine import execute_spec, minimize, survivor_name
+from repro.fuzz import engine as fuzz_engine
+from repro.fuzz.engine import (
+    _shrink_candidates,
+    execute_spec,
+    minimize,
+    session_case,
+    survivor_name,
+)
 from repro.fuzz.model import (
     LoopSpec,
     ProgramSpec,
@@ -21,6 +37,9 @@ from repro.fuzz.model import (
     generate_program,
 )
 from repro.fuzz.mutators import MUTATOR_NAMES, MUTATORS, apply_mutations
+from repro.fuzz.oracles import EVERYTHING, IMAGES, ORACLE_READS, VERDICTS
+from repro.results.digest import program_digest
+from repro.uarch.core import ENGINE_SCHEMA_VERSION
 
 
 def _simple_spec(**loop_kwargs):
@@ -126,7 +145,10 @@ def test_minimize_descends_to_fixpoint():
         input_seed=5,
     )
 
+    asked = []
+
     def interesting(spec):
+        asked.append(spec)
         if any(loop.trip >= 4 for loop in spec.loops):
             return "trip>=4"
         return None
@@ -134,6 +156,9 @@ def test_minimize_descends_to_fixpoint():
     small, detail, used = minimize(big, interesting, max_steps=500)
     assert detail == "trip>=4"
     assert used > 0
+    # Each candidate is asked once; one met again counts as tried.
+    assert asked[0] == big and len(set(asked)) == len(asked)
+    assert used > len(asked) - 1
     assert len(small.loops) == 1
     loop = small.loops[0]
     assert loop.trip == 5  # smallest shrink candidate >= 4 wins
@@ -156,6 +181,13 @@ def test_minimize_rejects_uninteresting_start():
 SESSION_CONFIG = FuzzConfig(seed=3, budget=4, max_mutations=2,
                             minimize_steps=40)
 
+# The pinned session's whole report.  A change that keeps the engine's
+# output keeps this byte for byte, however it reaches it; like
+# tests/engine_pin.json it may move only with an ENGINE_SCHEMA_VERSION
+# bump, and running this module rewrites it (see write_session_pin).
+SESSION_PIN = Path(__file__).with_name("fuzz_session_pin.json")
+REPIN_COMMAND = "PYTHONPATH=src python -m tests.test_fuzz_engine"
+
 
 @pytest.fixture(scope="module")
 def session_report():
@@ -177,20 +209,59 @@ def test_session_byte_reproducible(session_report, tmp_path):
         assert (dir_a / name).read_bytes() == (dir_b / name).read_bytes()
 
 
+def test_session_report_matches_pin(session_report):
+    pin = json.loads(SESSION_PIN.read_text())
+    assert pin["config"] == dataclasses.asdict(SESSION_CONFIG)
+    assert pin["engine_schema"] == ENGINE_SCHEMA_VERSION, (
+        f"the session pin predates engine schema {ENGINE_SCHEMA_VERSION}: "
+        f"regenerate it with `{REPIN_COMMAND}`"
+    )
+    assert session_report.to_dict() == pin["report"], (
+        "the pinned fuzz session's report moved under an unchanged "
+        "ENGINE_SCHEMA_VERSION: the session must replay byte-identically "
+        f"(after a schema bump, regenerate with `{REPIN_COMMAND}`)"
+    )
+
+
 def test_session_executes_each_counted_program_once(session_report,
                                                    monkeypatch):
-    # Every engine run is one of the report's executions: minimize()
-    # starts from the detail the session already has.
-    from repro.fuzz import engine as fuzz_engine
-
-    calls = []
+    # A descent runs each distinct candidate once and counts a candidate
+    # met again without running it, so the runs are a subset of the
+    # report's counted evaluations and the report does not move.
+    case_runs = []
+    descents = []  # (start spec, its runs, the executions it counted)
+    runs = case_runs
     execute = fuzz_engine.execute_spec
-    monkeypatch.setattr(fuzz_engine, "execute_spec",
-                        lambda spec: calls.append(spec) or execute(spec))
+    descend = fuzz_engine.minimize
+
+    def counting_execute(spec, *args, **kwargs):
+        runs.append(spec)
+        return execute(spec, *args, **kwargs)
+
+    def counting_minimize(spec, *args, **kwargs):
+        nonlocal runs
+        runs = []
+        try:
+            result = descend(spec, *args, **kwargs)
+        finally:
+            descent, runs = runs, case_runs
+        descents.append((spec, descent, result[2]))
+        return result
+
+    monkeypatch.setattr(fuzz_engine, "execute_spec", counting_execute)
+    monkeypatch.setattr(fuzz_engine, "minimize", counting_minimize)
     report = run_fuzz(SESSION_CONFIG)
-    assert report.survivors  # minimize() ran
-    assert len(calls) == report.executions
+    assert descents  # minimize() ran
+    assert len(case_runs) == report.cases
+    assert report.executions == report.cases + sum(
+        used for _, _, used in descents
+    )
+    for start, descent, used in descents:
+        assert len(descent) <= used
+        assert len(set(descent)) == len(descent)
+        assert start not in descent  # its detail came with the case
     assert report.to_dict() == session_report.to_dict()
+    assert report.to_dict() == json.loads(SESSION_PIN.read_text())["report"]
 
 
 def test_session_counts_are_consistent(session_report):
@@ -229,3 +300,155 @@ def test_fuzz_metrics_registered(session_report):
     assert snapshot["fuzz.session.executions"] >= SESSION_CONFIG.budget
     assert "fuzz.session.programs_per_second" in snapshot
     assert snapshot["fuzz.session.survivors"] == len(session_report.survivors)
+
+
+# ---------------------------------------------------------------------------
+# Scoped runs: a minimization step runs only what its oracle reads
+# ---------------------------------------------------------------------------
+
+SCOPES = sorted({EVERYTHING, *ORACLE_READS.values()}, key=sorted)
+
+
+def _scoping_programs():
+    """The corpus entries, the pinned session's cases and those cases'
+    first-level shrink candidates."""
+    programs = [entry.program for entry in
+                load_corpus(str(Path(__file__).with_name("fuzz_corpus")))]
+    for index in range(SESSION_CONFIG.budget):
+        spec, _ = session_case(SESSION_CONFIG, index)
+        programs.append(spec)
+        programs.extend(_shrink_candidates(spec))
+    return list(dict.fromkeys(programs))
+
+
+def _outcome(spec, reads):
+    """The case ``execute_spec`` returns, or the class of what it raised."""
+    try:
+        return execute_spec(spec, reads)
+    except ReproError as exc:
+        return type(exc)
+
+
+def _verdict(oracle, run):
+    return run if isinstance(run, type) else oracle(run)
+
+
+@pytest.fixture(scope="module")
+def scoped_runs():
+    """Each program run under every scope an oracle declares, and in full."""
+    return [
+        (spec, {reads: _outcome(spec, reads) for reads in SCOPES})
+        for spec in _scoping_programs()
+    ]
+
+
+class _Unread:
+    """Stands for a part of a run that an oracle says it does not read."""
+
+    def _read(self, *args):
+        raise AssertionError("an oracle read a part it does not declare")
+
+    __getattr__ = __eq__ = __bool__ = __iter__ = __len__ = _read
+
+
+def test_oracle_reads_cover_the_registry():
+    assert list(ORACLE_READS) == list(ORACLES)
+    assert all(reads <= EVERYTHING for reads in ORACLE_READS.values())
+
+
+def test_scoped_run_gives_each_oracle_its_full_verdict(scoped_runs):
+    assert len(scoped_runs) > 50
+    for spec, runs in scoped_runs:
+        full = runs[EVERYTHING]
+        for name, oracle in ORACLES.items():
+            scoped = runs[ORACLE_READS[name]]
+            assert _verdict(oracle, scoped) == _verdict(oracle, full), (
+                f"{name} on {spec}"
+            )
+        for reads, run in runs.items():
+            if isinstance(run, type):
+                continue
+            if IMAGES not in reads:
+                assert run.exec_image is None and run.frog_image is None
+            if VERDICTS not in reads:
+                assert run.compile_result is None
+
+
+def test_oracles_read_only_what_they_declare(scoped_runs):
+    unread = _Unread()
+    for spec, runs in scoped_runs:
+        full = runs[EVERYTHING]
+        if isinstance(full, type):
+            continue
+        for name, oracle in ORACLES.items():
+            reads = ORACLE_READS[name]
+            images = IMAGES in reads
+            hidden = dataclasses.replace(
+                full,
+                compile_result=(full.compile_result if VERDICTS in reads
+                                else unread),
+                exec_image=full.exec_image if images else unread,
+                frog_image=full.frog_image if images else unread,
+            )
+            assert oracle(hidden) == oracle(full), f"{name} on {spec}"
+
+
+def test_static_analysis_leaves_the_program_unchanged(scoped_runs):
+    for spec, runs in scoped_runs:
+        analysed = runs[EVERYTHING].compile_result.program
+        plain = compile_frog(spec.render(), CompileOptions(name="fuzz"))
+        assert program_digest(plain.program) == program_digest(analysed), (
+            spec
+        )
+
+
+@pytest.mark.parametrize("margin", [1, 0, -1])
+def test_scoped_runs_keep_the_executor_budget(margin, monkeypatch):
+    # Without the executor a run checks the budget against the core's
+    # committed instructions: at a budget of N, programs needing N - 1
+    # and N run, and one needing N + 1 fails as the executor fails it.
+    spec = _simple_spec(trip=24, stmts=(StmtSpec(kind="carried"),))
+    stats = execute_spec(spec).stats
+    assert stats.spec_committed_instructions > 0
+    needed = stats.arch_instructions + stats.spec_committed_instructions
+    monkeypatch.setattr(fuzz_engine, "CASE_MAX_INSTRUCTIONS",
+                        needed + margin)
+    outcomes = set()
+    for reads in SCOPES:
+        try:
+            execute_spec(spec, reads)
+            outcomes.add("ran")
+        except ExecutionError as exc:
+            outcomes.add(str(exc))
+    assert outcomes == (
+        {"ran"} if margin >= 0
+        else {f"fuzz exceeded {needed - 1} instructions"}
+    )
+
+
+def write_session_pin() -> int:
+    """Rewrite SESSION_PIN; refuse (exit 1) if the report moved while
+    ENGINE_SCHEMA_VERSION did not."""
+    report = run_fuzz(SESSION_CONFIG).to_dict()
+    if SESSION_PIN.exists():
+        old = json.loads(SESSION_PIN.read_text())
+        if (old["engine_schema"] == ENGINE_SCHEMA_VERSION
+                and old["report"] != report):
+            print("the session report moved under an unchanged "
+                  "ENGINE_SCHEMA_VERSION: bump it, then run this again; "
+                  f"{SESSION_PIN.name} is unchanged", file=sys.stderr)
+            return 1
+    payload = {
+        "engine_schema": ENGINE_SCHEMA_VERSION,
+        "config": dataclasses.asdict(SESSION_CONFIG),
+        "report": report,
+    }
+    SESSION_PIN.write_text(json.dumps(payload, indent=1, sort_keys=True)
+                           + "\n")
+    print(f"pinned {report['executions']} executions and "
+          f"{len(report['survivors'])} survivors in {SESSION_PIN}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(write_session_pin())

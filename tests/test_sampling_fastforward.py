@@ -19,6 +19,10 @@ Exercised over the same seed-pinned random Frog corpus as
 data-dependent branches and speculation pressure included.
 """
 
+import json
+import os
+import subprocess
+import sys
 from collections import deque
 
 import pytest
@@ -390,3 +394,52 @@ def test_fast_forward_budget_precedes_the_next_fetch(name, budget):
     with pytest.raises(ExecutionError) as fast:
         FastForwardExecutor(program).run_to_halt(max_instructions=budget)
     assert str(fast.value) == str(golden.value)
+
+
+# ---------------------------------------------------------------------------
+# The package loads only the fast-forward module up front
+# ---------------------------------------------------------------------------
+
+_SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+
+_NAMES_SCRIPT = """
+import importlib, json, sys
+if sys.argv[1] == "runner-first":
+    import repro.sampling.runner  # binds its submodules on the package
+import repro.sampling as package
+names = {}
+exec("from repro.sampling import *", names)
+import repro.sampling.runner
+wrong = [
+    name for name in package.__all__
+    if names[name] is not getattr(importlib.import_module(
+        "repro.sampling." + package._HOME.get(name, "fastforward")), name)
+]
+print(json.dumps(wrong))
+"""
+
+
+def _fresh_process(*args):
+    out = subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True,
+        env=dict(os.environ, PYTHONPATH=_SRC), check=True,
+    )
+    return json.loads(out.stdout)
+
+
+def test_importing_experiments_leaves_sampling_runner_unloaded():
+    lazy = ["repro.sampling.runner", "repro.sampling.kmeans",
+            "repro.sampling.extrapolate"]
+    loaded = _fresh_process(
+        "-c",
+        "import json, sys; import repro.experiments; "
+        f"print(json.dumps([m for m in {lazy!r} if m in sys.modules]))",
+    )
+    assert loaded == []
+
+
+@pytest.mark.parametrize("order", ["names-first", "runner-first"])
+def test_sampling_package_names_resolve_in_any_import_order(order):
+    # kmeans and extrapolate name both a submodule and its function; the
+    # package exports the functions, whichever is imported first.
+    assert _fresh_process("-c", _NAMES_SCRIPT, order) == []
