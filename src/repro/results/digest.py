@@ -96,7 +96,7 @@ def workload_digest(workload) -> str:
     memory, regs = workload.fresh_input()
     payload = [
         program_digest(workload.program),
-        sorted(memory.image().items()),
+        memory.sorted_items(),
         sorted((name, value) for name, value in regs.items()),
     ]
     digest = _sha256(payload)

@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import heapq
 import os
-from itertools import groupby
 from typing import Dict, List, Optional, Set, Tuple
 
 from ..errors import ExecutionError, SimulationError
@@ -160,10 +159,9 @@ class PipelineInstr:
 
     __slots__ = (
         "seq", "slot", "pc", "instr", "op_index", "consumers",
-        "num_pending", "dispatched", "issued", "ready_cycle", "committed",
-        "squashed", "mem_addr", "mem_size", "taken", "mispredicted",
-        "dest_is_fp", "mem_dep_writers", "is_load", "is_store",
-        "is_halt", "has_dest",
+        "num_pending", "dispatched", "issued", "ready_cycle", "squashed",
+        "mem_addr", "mem_size", "taken", "dest_is_fp", "mem_dep_writers",
+        "is_load", "is_store", "is_halt", "has_dest",
     )
 
     def __init__(self, seq: int, slot: int, pc: int, instr: Instruction):
@@ -179,12 +177,10 @@ class PipelineInstr:
         # cycle, so "done" is a single integer comparison with no
         # issued/None guards.
         self.ready_cycle: int = _NEVER_READY
-        self.committed = False
         self.squashed = False
         self.mem_addr: Optional[int] = None
         self.mem_size = 0
         self.taken = False
-        self.mispredicted = False
         self.mem_dep_writers = _NO_WRITERS
         # Commit/dispatch hot-path flags, precomputed per static
         # instruction: one tuple unpack instead of six .instr chases.
@@ -392,15 +388,22 @@ class Engine:
         Untouched regions — e.g. the huge sparse spans of miss-bound
         kernels — stay cold and pay full memory latency.
 
-        Lines are inserted in write order, once per run of consecutive
-        bytes on the same line: re-inserting the line just inserted only
-        bumps its own stamp, so every set ends in the LRU order a
-        per-byte insert would leave."""
+        Lines are inserted in first-write order, read off the memory's
+        first-write log: each run of bytes inserts the lines it covers,
+        and a run that starts on the line the previous run ended on skips
+        it.  That is one insert per run of consecutively written bytes on
+        a line — the inserts, and so the stamps, of a per-byte walk that
+        collapses repeats of the line just inserted."""
         line = self.machine.memory.line_size
         l2_insert = self.hierarchy.l2.insert
-        written = self.memory.written_addresses()
-        for line_addr, _ in groupby(addr // line for addr in written):
-            l2_insert(line_addr)
+        last = None
+        for start, stop in self.memory.write_runs():
+            first = start // line
+            if first == last:
+                first += 1
+            last = (stop - 1) // line
+            for line_addr in range(first, last + 1):
+                l2_insert(line_addr)
         self._warm_text()
 
     def _warm_text(self) -> None:
@@ -750,7 +753,6 @@ class Engine:
                                 fp_used -= 1
                             else:
                                 int_used -= 1
-                        pi.committed = True
                         budget -= 1
                         progress += 1
                         if is_arch:
@@ -1158,7 +1160,6 @@ class Engine:
                             fp_used -= 1
                         else:
                             int_used -= 1
-                    pi.committed = True
                     budget -= 1
                     progress += 1
                     if is_arch:
@@ -1520,7 +1521,6 @@ class Engine:
                             )
                             if not correct:
                                 stats.branch_mispredicts += 1
-                                pi.mispredicted = True
                                 t.fetch_stall_branch = pi
                             elif taken and not target_known:
                                 stats.btb_misses += 1
@@ -1846,7 +1846,6 @@ class Engine:
             )
             if not correct:
                 stats.branch_mispredicts += 1
-                pi.mispredicted = True
                 t.fetch_stall_branch = pi
             elif result.taken and not target_known:
                 stats.btb_misses += 1
@@ -2338,6 +2337,7 @@ class Engine:
                 )
 
     def _release_entry(self, pi: PipelineInstr, committed: bool) -> None:
+        # ``committed`` is read by the pipeline tracer's hook (uarch/trace.py).
         self.rob_used -= 1
         if not pi.issued:
             self.iq_used -= 1
@@ -2350,7 +2350,6 @@ class Engine:
                 self.fp_regs_used -= 1
             else:
                 self.int_regs_used -= 1
-        pi.committed = committed
 
     def _threadlet_commit(self) -> None:
         """Advance S_arch when the oldest threadlet finishes its epoch."""
@@ -2604,7 +2603,6 @@ class Engine:
                 )
                 if not correct:
                     stats.branch_mispredicts += 1
-                    pi.mispredicted = True
                     t.fetch_stall_branch = pi
                 elif taken and not target_known:
                     stats.btb_misses += 1

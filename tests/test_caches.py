@@ -3,12 +3,15 @@
 import random
 from itertools import groupby
 
+from repro.fuzz import FuzzConfig
+from repro.fuzz.engine import session_case
 from repro.isa import assemble
 from repro.uarch.caches import MemoryHierarchy, _CacheLevel, _StridePrefetcher
-from repro.uarch.config import MachineConfig, MemoryConfig
+from repro.uarch.config import MachineConfig, MemoryConfig, default_machine
 from repro.uarch.core import Engine
 from repro.uarch.memory_state import SparseMemory
 from repro.uarch.statistics import SimStats
+from repro.workloads.suites import SUITE_NAMES, suite
 
 
 def hierarchy(**kwargs):
@@ -139,3 +142,35 @@ def test_line_granular_warmup_matches_per_byte_insertion():
     reference._warm_text()
     assert _lru_orders(warmed.hierarchy.l2) == _lru_orders(reference.hierarchy.l2)
     assert _lru_orders(warmed.hierarchy.l1i) == _lru_orders(reference.hierarchy.l1i)
+
+
+def _warmup_inputs():
+    """``(name, memory)``: every suite phase's input, then the input of
+    every case of the benchmark's fuzz session (seed 3, budget 16)."""
+    for suite_name in SUITE_NAMES:
+        for benchmark in suite(suite_name):
+            for workload, _weight in benchmark.phases:
+                yield workload.name, workload.fresh_input()[0]
+    config = FuzzConfig(seed=3, budget=16)
+    for index in range(config.budget):
+        yield f"fuzz case {index}", session_case(config, index)[0].fresh_input()[0]
+
+
+def test_l2_warmup_from_write_log_matches_per_byte_groupby():
+    # The warm-up reads the first-write log one run at a time; the
+    # reference walks every written byte and collapses repeats of the
+    # line just inserted.  Lines and LRU stamps must agree exactly.
+    machine = default_machine()
+    line = machine.memory.line_size
+    program = assemble("halt\n")
+    inputs = list(_warmup_inputs())
+    assert len(inputs) == 48 + 16
+    for name, memory in inputs:
+        warmed = Engine(machine, program, memory).hierarchy.l2
+        reference = Engine(machine, program, memory, warm_caches=False)
+        written = memory.written_addresses()
+        for line_addr, _ in groupby(addr // line for addr in written):
+            reference.hierarchy.l2.insert(line_addr)
+        reference._warm_text()
+        assert warmed.sets == reference.hierarchy.l2.sets, name
+        assert warmed._stamp == reference.hierarchy.l2._stamp, name

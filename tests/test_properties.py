@@ -1,7 +1,10 @@
 """Property-based tests (hypothesis) on core data structures and the
 engine's fundamental invariant: speculation never changes semantics."""
 
+import pickle
 import random
+import struct
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,6 +14,7 @@ from repro.uarch import BaselineCore, LoopFrogCore, SparseMemory
 from repro.uarch.config import LoopFrogConfig
 from repro.uarch.conflict import ConflictDetector
 from repro.uarch.memory_state import (
+    PAGE_SIZE,
     bits_to_float,
     float_to_bits,
     to_signed,
@@ -140,6 +144,127 @@ def test_store_float_array_overwrite_with_special_values(size):
         SparseMemory.store_float_array, SparseMemory.store_float,
         writes, size, [(2, 7)],
     )
+
+
+# Paged memory against a byte-dict model.  The model keeps one dict entry
+# per written byte, so its key order is the first-write order that the
+# pages' log must reproduce.  Addresses cluster around page edges, below
+# zero too, so accesses cross pages.
+
+_PAGE_EDGES = (0, PAGE_SIZE, 3 * PAGE_SIZE, -PAGE_SIZE, 1 << 40)
+_addresses = st.builds(
+    lambda edge, delta: edge + delta,
+    st.sampled_from(_PAGE_EDGES),
+    st.integers(min_value=-12, max_value=12),
+)
+_sizes = st.sampled_from([1, 2, 4, 8])
+_values = st.one_of(
+    st.just(0), st.integers(min_value=-(1 << 64), max_value=(1 << 64) - 1)
+)
+_memory_ops = st.lists(
+    st.one_of(
+        st.tuples(st.just("store"), _addresses, _sizes, _values),
+        st.tuples(st.just("store_byte"), _addresses,
+                  st.integers(min_value=0, max_value=255)),
+        st.tuples(st.just("int_array"), _addresses, _sizes,
+                  st.lists(_values, max_size=6)),
+        st.tuples(st.just("float_array"), _addresses, st.sampled_from([4, 8]),
+                  st.lists(st.floats(width=32, allow_nan=False), max_size=4)),
+        st.tuples(st.just("load"), _addresses, _sizes),
+    ),
+    max_size=30,
+)
+
+
+def _apply_memory_op(memory, model, op):
+    """Run ``op`` on ``memory``; write its bytes into the ``model`` dict."""
+    kind, addr = op[:2]
+    if kind == "store_byte":
+        memory.store_byte(addr, op[2])
+        model[addr] = op[2]
+        return
+    size = op[2]
+    if kind == "load":
+        expected = bytes(model.get(addr + i, 0) for i in range(size))
+        assert memory.load(addr, size) == int.from_bytes(expected, "little")
+        return
+    if kind == "store":
+        memory.store(addr, size, op[3])
+        data = to_unsigned(op[3], 8 * size).to_bytes(size, "little")
+    elif kind == "int_array":
+        data = b"".join(
+            to_unsigned(v, 8 * size).to_bytes(size, "little") for v in op[3]
+        )
+        assert memory.store_int_array(addr, op[3], size) == addr + len(data)
+    else:
+        fmt = "<d" if size == 8 else "<f"
+        data = b"".join(struct.pack(fmt, v) for v in op[3])
+        assert memory.store_float_array(addr, op[3], size) == addr + len(data)
+    for i, byte in enumerate(data):
+        model[addr + i] = byte
+
+
+def _assert_matches_model(memory, model):
+    for addr in model:
+        assert memory.load_byte(addr) == model[addr]
+        assert memory.load(addr - 3, 8) == int.from_bytes(
+            bytes(model.get(addr - 3 + i, 0) for i in range(8)), "little"
+        )
+    assert list(memory.written_addresses()) == list(model)
+    assert list(memory.image().items()) == list(model.items())
+    assert memory.sorted_items() == sorted(model.items())
+    assert len(memory) == len(model)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_memory_ops, _memory_ops)
+def test_paged_memory_matches_byte_dict_model(ops, copy_ops):
+    memory, model = SparseMemory(), {}
+    for op in ops:
+        _apply_memory_op(memory, model, op)
+    _assert_matches_model(memory, model)
+
+    # == ignores written zeros: the nonzero bytes alone, written in
+    # another order, make an equal memory; one changed byte does not.
+    nonzero = SparseMemory()
+    for addr in sorted(model, reverse=True):
+        if model[addr]:
+            nonzero.store_byte(addr, model[addr])
+    assert memory == nonzero
+    assert (memory == SparseMemory()) == (not any(model.values()))
+    if model:
+        addr = next(iter(model))
+        nonzero.store_byte(addr, model[addr] ^ 1)
+        assert memory != nonzero
+
+    restored = pickle.loads(pickle.dumps(memory))
+    _assert_matches_model(restored, model)
+
+    clone, clone_model = memory.copy(), dict(model)
+    for op in copy_ops:
+        _apply_memory_op(clone, clone_model, op)
+    _assert_matches_model(clone, clone_model)
+    _assert_matches_model(memory, model)
+
+
+def test_memory_footprint_per_written_byte():
+    # One Python object per simulated byte costs ~75 bytes of heap per
+    # written byte and ~43 per copy; pages cost about 2.
+    size = 256 * 1024
+    values = [random.Random(0).randrange(1 << 64) for _ in range(size // 8)]
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        memory = SparseMemory()
+        memory.store_int_array(0x100000, values)
+        image = tracemalloc.get_traced_memory()[0]
+        clone = memory.copy()
+        copied = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert len(memory) == len(clone) == size
+    assert image - start <= 4 * size
+    assert copied - image <= 4 * size
 
 
 # ---------------------------------------------------------------------------
