@@ -12,7 +12,7 @@ halves, so they read as zero without a lookup of their own, while a
 written zero still counts as written.  A load or store inside one page is
 one dict lookup plus a slice, and a copy or pickle copies whole pages:
 about 2 bytes of host memory per simulated byte of a densely written
-page, against ~75 for a dict entry per byte.
+page, against ~72 for a dict entry per byte.
 
 Write order is kept apart from the pages, in a first-write log of runs
 ``[start, stop)``: the bytes each run names were first written one after

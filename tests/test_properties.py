@@ -248,10 +248,11 @@ def test_paged_memory_matches_byte_dict_model(ops, copy_ops):
 
 
 def test_memory_footprint_per_written_byte():
-    # One Python object per simulated byte costs ~75 bytes of heap per
-    # written byte and ~43 per copy; pages cost about 2.
+    # One Python object per simulated byte costs ~72 bytes of heap per
+    # written byte and ~40 per copy; pages cost about 2.
     size = 256 * 1024
-    values = [random.Random(0).randrange(1 << 64) for _ in range(size // 8)]
+    rng = random.Random(0)
+    values = [rng.randrange(1 << 64) for _ in range(size // 8)]
     tracemalloc.start()
     try:
         start = tracemalloc.get_traced_memory()[0]
